@@ -19,16 +19,13 @@ from .model import (
     interval_eval,
     load_model,
     save_model,
-    validate_model,
 )
 from .transforms import (
     BigMError,
     FlatModel,
     bigm_transform,
     compute_bigm,
-    load_flat,
     logic_to_linear,
-    save_flat,
 )
 from .approx import (
     ApproxPolicy,

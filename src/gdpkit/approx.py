@@ -11,7 +11,7 @@ carry a certified max error measured on a dense uniform grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,13 +22,11 @@ from .model import (
     SENSE_EQ,
     SENSE_LE,
     Constraint,
-    Disjunct,
     Expression,
     GdpModel,
     model_from_json,
     model_to_json,
 )
-from .transforms import FlatModel, flat_from_json, flat_to_json
 
 ERROR_GRID = 10_001
 
@@ -60,10 +58,6 @@ class PwlTable:
     @property
     def n_segments(self) -> int:
         return len(self.breakpoints) - 1
-
-    @property
-    def slopes(self) -> np.ndarray:
-        return np.diff(self.values) / np.diff(self.breakpoints)
 
     def interpolate(self, x):
         return np.interp(x, self.breakpoints, self.values)
@@ -197,37 +191,33 @@ def encode_pwl_incremental(table: PwlTable, x_var: int, out_var: int,
                        x_var=x_var, out_var=out_var)
 
 
-def _clone(model):
-    if isinstance(model, GdpModel):
-        return model_from_json(model_to_json(model))
-    if isinstance(model, FlatModel):
-        return flat_from_json(flat_to_json(model))
-    raise TypeError(f"expected GdpModel or FlatModel, got {type(model).__name__}")
+def _clone(model: GdpModel) -> GdpModel:
+    if not isinstance(model, GdpModel):
+        raise TypeError(f"expected GdpModel, got {type(model).__name__}")
+    return model_from_json(model_to_json(model))
 
 
-def _approx_sites(model):
+def _approx_sites(model: GdpModel):
     """Yield (expression, site label, owning disjunct or None)."""
     yield model.objective, "objective", None
-    if isinstance(model, GdpModel):
-        for c in model.globals:
-            yield c.body, c.label or "global", None
-        for dj in model.disjunctions:
-            for d in dj.disjuncts:
-                for c in d.constraints:
-                    yield c.body, c.label or d.guard, d
-    else:
-        for c in model.constraints:
-            yield c.body, c.label or "row", None
+    for c in model.globals:
+        yield c.body, c.label or "global", None
+    for dj in model.disjunctions:
+        for d in dj.disjuncts:
+            for c in d.constraints:
+                yield c.body, c.label or d.guard, d
 
 
-def apply_approximation(model, policy: ApproxPolicy):
+def apply_approximation(model: GdpModel, policy: ApproxPolicy):
     """Replace every power/log term under the chosen policy.
 
-    Returns (new model of the same kind, report). The report carries one
-    record per replaced term: kind, variable, domain, certified errors
-    and added counts. Linear and bilinear content is untouched. Rows for
-    a term found inside a disjunct are added to that disjunct, so the
-    encoding is relaxed together with the rest of the unit.
+    Terms are replaced in the disjunctive model, before it is flattened,
+    so only a GdpModel is accepted. Returns (new model, report). The
+    report carries one record per replaced term: kind, variable, domain,
+    certified errors and added counts. Linear and bilinear content is
+    untouched. Rows for a term found inside a disjunct are added to that
+    disjunct, so the encoding is relaxed together with the rest of the
+    unit.
     """
     out = _clone(model)
     report: list[dict] = []
@@ -271,12 +261,9 @@ def apply_approximation(model, policy: ApproxPolicy):
                 expr.add_linear(coef, w)
                 if owner is not None:
                     owner.constraints.extend(enc.rows)
-                elif isinstance(out, GdpModel):
-                    for row in enc.rows:
-                        out.add_global(row)
                 else:
                     for row in enc.rows:
-                        out.add_constraint(row, {"kind": "approx", "term": prefix})
+                        out.add_global(row)
                 max_err = table.max_grid_error(f)
                 grid = np.linspace(var.lower, var.upper, ERROR_GRID)
                 resid = table.interpolate(grid) - f(grid)

@@ -164,7 +164,7 @@ def _children(node: BnbNode, decision) -> list[BnbNode]:
 def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
                  time_limit: float = DEFAULT_TIME_LIMIT,
                  node_limit: int | None = None, workers: int = 1,
-                 n_tangents: int = 3, log_every: int = 100) -> SolveResult:
+                 log_every: int = 100) -> SolveResult:
     """Solve a flattened model to the requested relative gap.
 
     Maximization is handled by negating the objective on the way in and
@@ -197,7 +197,7 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
     stop: str | None = None
 
     def process(node: BnbNode):
-        lp = build_lp_relaxation(work, node.lo, node.hi, n_tangents)
+        lp = build_lp_relaxation(work, node.lo, node.hi)
         return lp, lp_solve(lp)
 
     def open_bound() -> float:

@@ -5,6 +5,9 @@ this), so every auxiliary column can be boxed as well and unboundedness
 cannot occur. Two phases: artificial columns drive the start feasible,
 then the true costs take over. Dantzig pricing by default, Bland's rule
 after a run of degenerate pivots.
+
+The simplex uses numpy alone: a second BLAS library (scipy bundles its
+own OpenBLAS) would run its threads against numpy's on every pivot.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dger as _dger
 
 RCOST_TOL = 1e-9
 RATIO_TOL = 1e-9
@@ -36,7 +38,6 @@ class LinearProgram:
     lo: np.ndarray
     hi: np.ndarray
     obj_const: float = 0.0
-    names: list[str] | None = None
     aux_terms: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -54,7 +55,6 @@ class LpSolution:
     objective: float | None
     max_violation: float
     n_pivots: int
-    pivots: list[tuple[int, int]]
 
 
 def _row_extremes(A: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -164,11 +164,8 @@ class _Simplex:
         self.x[basis] = beta
 
         # T = Binv @ A_full; the starting basis is diagonal +-1.
-        # Fortran order so the rank-1 pivot update runs in place.
-        self.T = np.zeros((m, k), order="F")
-        np.multiply(diag[:, None], self.A_full, out=self.T)
+        self.T = diag[:, None] * self.A_full
         self.n_pivots = 0
-        self.pivots: list[tuple[int, int]] = []
 
     # -- pivoting machinery -------------------------------------------
 
@@ -196,20 +193,20 @@ class _Simplex:
         self.x[self.basis] = beta
 
     def _refactor_tableau(self):
-        """Rebuild T = Binv A from scratch to purge elimination error."""
+        """Rebuild T = Binv A from scratch to purge elimination error.
+        Raises LinAlgError when the basis matrix is singular."""
         if self.m == 0:
             return
         B = self.A_full[:, self.basis]
-        try:
-            self.T = np.asfortranarray(np.linalg.solve(B, self.A_full))
-        except np.linalg.LinAlgError:
-            pass
+        self.T = np.linalg.solve(B, self.A_full)
 
     def _eliminate(self, r: int, q: int):
         colq = self.T[:, q].copy()
         trow = self.T[r] / self.T[r, q]
-        _dger(-1.0, colq, trow, a=self.T, overwrite_a=1,
-              overwrite_x=0, overwrite_y=0)
+        # node tableaus are sparse: only rows with a nonzero entry in the
+        # pivot column change, so the update touches no others
+        rows = np.flatnonzero(colq)
+        self.T[rows] -= np.multiply.outer(colq[rows], trow)
         self.T[r] = trow
         return trow
 
@@ -263,7 +260,6 @@ class _Simplex:
                 self.where[q] = AT_UPPER if self.where[q] == AT_LOWER else AT_LOWER
                 self.beta -= deltas * t
                 self.x[self.basis] = self.beta
-                self.pivots.append((q, -1))
             else:
                 t = t_rows
                 tied = np.flatnonzero(np.abs(ratios - t) <= 1e-10)
@@ -293,7 +289,6 @@ class _Simplex:
                 dq = d[q]
                 d -= dq * trow
                 d[q] = 0.0
-                self.pivots.append((q, leaving))
 
             self.n_pivots += 1
             since_refresh += 1
@@ -301,7 +296,10 @@ class _Simplex:
             if deltas.size:
                 moved += abs(t) * (1.0 + float(np.abs(deltas).max()))
             if since_refactor >= REFACTOR_EVERY:
-                self._refactor_tableau()
+                try:
+                    self._refactor_tableau()
+                except np.linalg.LinAlgError:
+                    return "numerical"
                 self._refresh_basics()
                 d = self._reduced_costs(cost)
                 since_refactor = since_refresh = 0
@@ -342,7 +340,6 @@ class _Simplex:
             self.where[q] = IN_BASIS
             self.beta[r] = self.x[q]
             self._eliminate(r, q)
-            self.pivots.append((q, leaving))
             self.n_pivots += 1
 
     # -- driver ---------------------------------------------------------
@@ -361,7 +358,7 @@ class _Simplex:
             infeas = float(self.x[self.first_art:].sum())
             if infeas > FEAS_TOL:
                 return LpSolution("infeasible", None, None, infeas,
-                                  self.n_pivots, self.pivots)
+                                  self.n_pivots)
             self._drive_out_artificials()
             # freeze artificials: basic ones keep their tolerated residual
             # as a fixed bound, nonbasic ones are pinned at zero
@@ -379,10 +376,10 @@ class _Simplex:
         viol = self._violation(x)
         if viol > FEAS_TOL:
             return LpSolution("numerical", None, None, viol,
-                              self.n_pivots, self.pivots)
+                              self.n_pivots)
         objective = float(lp.c @ x) + lp.obj_const
         return LpSolution("optimal", x, objective, viol,
-                          self.n_pivots, self.pivots)
+                          self.n_pivots)
 
     def _violation(self, x: np.ndarray) -> float:
         lp = self.lp
@@ -400,7 +397,7 @@ class _Simplex:
 
     def _failure(self, status: str) -> LpSolution:
         return LpSolution(status, None, None, float("inf"),
-                          self.n_pivots, self.pivots)
+                          self.n_pivots)
 
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
@@ -411,7 +408,7 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     """
     if np.any(lp.lo > lp.hi + 1e-12):
         return LpSolution("infeasible", None, None,
-                          float(np.max(lp.lo - lp.hi)), 0, [])
+                          float(np.max(lp.lo - lp.hi)), 0)
     if not (np.all(np.isfinite(lp.lo)) and np.all(np.isfinite(lp.hi))):
         raise ValueError("lp_solve requires finite variable bounds")
     return _Simplex(lp).solve()

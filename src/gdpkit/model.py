@@ -236,15 +236,6 @@ class GdpModel:
     def guard_names(self) -> list[str]:
         return [d.guard for dj in self.disjunctions for d in dj.disjuncts]
 
-    def all_constraints(self):
-        """Yield (constraint, owner) over globals and disjunct rows."""
-        for c in self.globals:
-            yield c, None
-        for dj in self.disjunctions:
-            for d in dj.disjuncts:
-                for c in d.constraints:
-                    yield c, d
-
     # -- validation ---------------------------------------------------
 
     def validate(self) -> ValidationReport:
@@ -312,11 +303,6 @@ class GdpModel:
                 if name not in known:
                     add(f"unknown Boolean: {name!r} in logic clause {k}")
         return report
-
-
-def validate_model(model: GdpModel) -> ValidationReport:
-    """Functional form of GdpModel.validate."""
-    return model.validate()
 
 
 # -- interval arithmetic ----------------------------------------------

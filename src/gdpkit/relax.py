@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SENSE_EQ, SENSE_GE, SENSE_LE, DomainError, Expression
+from .model import SENSE_GE, SENSE_LE, DomainError, Expression
 from .lp import LinearProgram
 from .transforms import FlatModel
 
@@ -153,8 +153,7 @@ def _term_keys(expr: Expression):
         yield ("log", v, None)
 
 
-def build_lp_relaxation(flat: FlatModel, lo, hi,
-                        n_tangents: int = 3) -> LinearProgram:
+def build_lp_relaxation(flat: FlatModel, lo, hi) -> LinearProgram:
     """Assemble the LP relaxation of a flattened model over a box.
 
     Distinct nonlinear terms share one auxiliary column each; the map
@@ -204,8 +203,7 @@ def build_lp_relaxation(flat: FlatModel, lo, hi,
                 aux_lo[col - n0] = math.log(lo[v])
                 aux_hi[col - n0] = math.log(hi[v])
             if hi[v] - lo[v] > 1e-12:
-                env = concave_envelope(kind, (lo[v], hi[v]), exponent=p,
-                                       n_tangents=n_tangents)
+                env = concave_envelope(kind, (lo[v], hi[v]), exponent=p)
             else:
                 env = None
             symbol_cols = {"w": col, "x": v}
@@ -240,19 +238,14 @@ def build_lp_relaxation(flat: FlatModel, lo, hi,
         senses.append(sense)
         rhs.append(r)
 
-    c_vec = linearize(flat.objective)
-    names = [v.name for v in flat.variables]
-    names += [f"aux{t.col}" for t in aux_terms]
-
     lp = LinearProgram(
-        c=c_vec,
+        c=linearize(flat.objective),
         A=np.array(rows, dtype=float).reshape(len(rows), n),
         senses=senses,
         b=np.array(rhs, dtype=float),
         lo=np.concatenate([lo, aux_lo]),
         hi=np.concatenate([hi, aux_hi]),
         obj_const=flat.objective.constant,
-        names=names,
     )
     lp.aux_terms = aux_terms
     return lp

@@ -8,7 +8,6 @@ source.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -23,12 +22,7 @@ from .model import (
     GdpModel,
     LogicClause,
     Variable,
-    constraint_from_json,
-    constraint_to_json,
-    expr_from_json,
-    expr_to_json,
     interval_eval,
-    variables_to_json,
 )
 
 
@@ -63,11 +57,8 @@ class FlatModel:
         hi = [v.upper for v in self.variables]
         return lo, hi
 
-    def binary_ids(self) -> list[int]:
-        return [v.id for v in self.variables if v.kind == BINARY]
-
     def counts(self) -> dict:
-        nbin = len(self.binary_ids())
+        nbin = sum(1 for v in self.variables if v.kind == BINARY)
         nl = sum(1 for c in self.constraints if not c.body.is_linear())
         return {
             "continuous_vars": len(self.variables) - nbin,
@@ -201,36 +192,3 @@ def bigm_transform(model: GdpModel) -> FlatModel:
         flat.add_constraint(row, {"kind": "logic", "clause": clause})
 
     return flat
-
-
-# -- serialization ----------------------------------------------------
-
-
-def flat_to_json(flat: FlatModel) -> dict:
-    return {
-        "sense": flat.sense,
-        "variables": variables_to_json(flat.variables),
-        "objective": expr_to_json(flat.objective),
-        "constraints": [constraint_to_json(c) for c in flat.constraints],
-        "provenance": flat.provenance,
-        "binary_of_guard": flat.binary_of_guard,
-    }
-
-
-def flat_from_json(obj: dict) -> FlatModel:
-    flat = FlatModel(sense=obj["sense"])
-    for v in obj["variables"]:
-        flat.add_variable(v["name"], v["lower"], v["upper"], v["kind"])
-    flat.objective = expr_from_json(obj["objective"])
-    for c, p in zip(obj["constraints"], obj["provenance"]):
-        flat.add_constraint(constraint_from_json(c), p)
-    flat.binary_of_guard = {k: int(v) for k, v in obj.get("binary_of_guard", {}).items()}
-    return flat
-
-
-def save_flat(flat: FlatModel) -> str:
-    return json.dumps(flat_to_json(flat), indent=2) + "\n"
-
-
-def load_flat(text: str) -> FlatModel:
-    return flat_from_json(json.loads(text))

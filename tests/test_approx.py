@@ -265,8 +265,16 @@ def test_apply_pwl_objective_terms_become_globals():
 
 
 def test_apply_rejects_unbounded_variable():
-    flat = FlatModel(sense="min")
-    x = flat.add_variable("x", 0.0, float("inf"))
-    flat.objective = Expression().add_power(1.0, x, 0.5)
+    m = GdpModel()
+    x = m.add_variable("x", 0.0, float("inf"))
+    m.objective.add_power(1.0, x, 0.5)
     with pytest.raises(ValueError, match="x"):
+        apply_approximation(m, ApproxPolicy(method="quad"))
+
+
+def test_apply_rejects_flattened_model():
+    flat = FlatModel(sense="min")
+    x = flat.add_variable("x", 1.0, 2.0)
+    flat.objective = Expression().add_power(1.0, x, 0.5)
+    with pytest.raises(TypeError, match="GdpModel"):
         apply_approximation(flat, ApproxPolicy(method="quad"))

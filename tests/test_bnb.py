@@ -139,7 +139,7 @@ def test_branch_select_most_fractional_binary():
     flat.objective = Expression().add_linear(1.0, a).add_linear(1.0, b)
     node = BnbNode(np.array([0.0, 0.0]), np.array([1.0, 1.0]), -np.inf, 0)
     lp = build_lp_relaxation(flat, node.lo, node.hi)
-    sol = LpSolution("optimal", np.array([0.5, 0.1]), 0.6, 0.0, 0, [])
+    sol = LpSolution("optimal", np.array([0.5, 0.1]), 0.6, 0.0, 0)
     decision = branch_select(node, lp, sol, flat)
     assert decision == ("binary", a)
 
@@ -165,7 +165,7 @@ def test_branch_select_clamps_to_middle_band():
     x[0] = 0.0  # at the box edge
     x[1] = 1.0
     x[lp.aux_terms[0].col] = 0.9  # big violation on the product
-    sol = LpSolution("optimal", x, 0.0, 0.0, 0, [])
+    sol = LpSolution("optimal", x, 0.0, 0.0, 0)
     decision = branch_select(node, lp, sol, flat)
     assert decision[0] == "spatial"
     assert decision[2] == pytest.approx(0.3)  # lo + 0.3 * width
@@ -216,7 +216,7 @@ def test_lp_failures_resplit_then_park(monkeypatch):
     def flaky(lp):
         calls["n"] += 1
         if calls["n"] == 1:
-            return LpSolution("numerical", None, None, 1.0, 0, [])
+            return LpSolution("numerical", None, None, 1.0, 0)
         return real(lp)
 
     monkeypatch.setattr(bnbmod, "lp_solve", flaky)

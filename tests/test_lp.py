@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import gdpkit
 import gdpkit.lp as lpmod
 from gdpkit.lp import LinearProgram, _Simplex, lp_solve
 
@@ -155,12 +161,36 @@ def test_no_improving_reduced_cost_at_termination():
         assert not np.any(at_upper & movable & (d > 1e-9))
 
 
+def test_tableau_matches_basis_solve_without_refactor(monkeypatch):
+    # the row-restricted rank-1 update alone must keep T = Binv A_full
+    monkeypatch.setattr(lpmod, "REFACTOR_EVERY", 10**9)
+    rng = np.random.default_rng(101)
+    pivots = 0
+    for _ in range(40):
+        sx = _Simplex(_random_lp(rng))
+        assert sx.solve().status == "optimal"
+        pivots += sx.n_pivots
+        expected = np.linalg.solve(sx.A_full[:, sx.basis], sx.A_full)
+        np.testing.assert_allclose(sx.T, expected, rtol=0.0, atol=1e-8)
+    assert pivots > 0
+
+
+def test_singular_refactor_reported_as_numerical(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(lpmod, "REFACTOR_EVERY", 1)
+    monkeypatch.setattr(lpmod.np.linalg, "solve", singular)
+    sol = lp_solve(make_lp([1.0], [[1.0]], [">="], [1.0], [0.0], [10.0]))
+    assert sol.status == "numerical"
+
+
 def test_deterministic_pivot_sequence():
     rng = np.random.default_rng(13)
     lp = _random_lp(rng)
     a = lp_solve(lp)
     b = lp_solve(lp)
-    assert a.pivots == b.pivots
+    assert a.n_pivots == b.n_pivots
     assert a.objective == b.objective
     assert np.array_equal(a.x, b.x)
 
@@ -179,3 +209,21 @@ def test_iteration_limit_reported(monkeypatch):
 def test_infinite_bounds_rejected():
     with pytest.raises(ValueError):
         lp_solve(make_lp([1.0], np.zeros((0, 1)), [], [], [0.0], [np.inf]))
+
+
+def test_solving_loads_no_scipy():
+    # scipy bundles a second BLAS whose threads would contend with numpy's
+    script = (
+        "import sys\n"
+        "from gdpkit import LinearProgram, lp_solve\n"
+        "sol = lp_solve(LinearProgram(c=[1.0, 1.0], A=[[1.0, 2.0]],\n"
+        "    senses=['>='], b=[2.0], lo=[0.0, 0.0], hi=[4.0, 4.0]))\n"
+        "assert sol.status == 'optimal', sol.status\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(gdpkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
