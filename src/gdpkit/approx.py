@@ -264,10 +264,9 @@ def apply_approximation(model: GdpModel, policy: ApproxPolicy):
                 else:
                     for row in enc.rows:
                         out.add_global(row)
-                max_err = table.max_grid_error(f)
                 grid = np.linspace(var.lower, var.upper, ERROR_GRID)
                 resid = table.interpolate(grid) - f(grid)
-                entry.update(max_abs_error=max_err,
+                entry.update(max_abs_error=float(np.max(np.abs(resid))),
                              rms_error=float(np.sqrt(np.mean(resid**2))),
                              added_continuous=len(enc.deltas) + 1,
                              added_binary=len(enc.binaries),

@@ -47,7 +47,9 @@ class SolveResult:
 
     status is one of optimal, feasible, infeasible, time_limit (plus
     unknown for the corner where a limit stopped the search before any
-    incumbent or infeasibility proof existed).
+    incumbent or infeasibility proof existed). parked counts nodes left
+    unexplored, after a failed LP re-split or with nothing to branch on;
+    their bounds stay in bound.
     """
 
     status: str
@@ -56,6 +58,7 @@ class SolveResult:
     bound: float
     gap: float
     nodes: int
+    parked: int
     wall_time: float
 
 
@@ -314,5 +317,6 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
         bound=bound,
         gap=relative_gap(objective, bound),
         nodes=nodes_done,
+        parked=len(unexplored),
         wall_time=time.monotonic() - t0,
     )

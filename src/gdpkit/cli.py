@@ -120,6 +120,7 @@ def run_pipeline(args: argparse.Namespace) -> int:
             "bound": result.bound,
             "relative_gap": result.gap,
             "nodes": result.nodes,
+            "parked": result.parked,
             "wall_time_s": result.wall_time,
             "incumbent": incumbent,
         },

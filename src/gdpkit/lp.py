@@ -4,7 +4,9 @@ All structural variables carry finite bounds (relaxations guarantee
 this), so every auxiliary column can be boxed as well and unboundedness
 cannot occur. Two phases: artificial columns drive the start feasible,
 then the true costs take over. Dantzig pricing by default, Bland's rule
-after a run of degenerate pivots.
+after a run of degenerate pivots. The tableau T = Binv A is the only
+factorization: the starting basis is diagonal +-1, so T's columns at
+that basis, times the signs, are Binv at every pivot.
 
 The simplex uses numpy alone: a second BLAS library (scipy bundles its
 own OpenBLAS) would run its threads against numpy's on every pivot.
@@ -159,11 +161,12 @@ class _Simplex:
                 self.x[sc] = slack_x[i]
                 self.where[sc] = AT_UPPER
         self.basis = basis
-        self.beta = beta
         self.where[basis] = IN_BASIS
         self.x[basis] = beta
 
         # T = Binv @ A_full; the starting basis is diagonal +-1.
+        self.start_basis = basis.copy()
+        self.diag = diag
         self.T = diag[:, None] * self.A_full
         self.n_pivots = 0
 
@@ -174,23 +177,15 @@ class _Simplex:
             return cost.copy()
         return cost - cost[self.basis] @ self.T
 
-    def _refresh_basics(self, refine: bool = False):
-        """Recompute basic values exactly from the basis system; the
-        incrementally updated values drift over long pivot runs."""
+    def _refresh_basics(self):
+        """Pull the incrementally updated basic values back onto the
+        rows with two residual corrections through Binv."""
         if self.m == 0:
             return
-        xn = self.x.copy()
-        xn[self.basis] = 0.0
-        rhs_eff = self.b_std - self.A_full @ xn
-        B = self.A_full[:, self.basis]
-        try:
-            beta = np.linalg.solve(B, rhs_eff)
-            if refine:
-                beta += np.linalg.solve(B, rhs_eff - B @ beta)
-        except np.linalg.LinAlgError:
-            beta, *_ = np.linalg.lstsq(B, rhs_eff, rcond=None)
-        self.beta = beta
-        self.x[self.basis] = beta
+        binv_signed = self.T[:, self.start_basis]
+        for _ in range(2):
+            resid = self.b_std - self.A_full @ self.x
+            self.x[self.basis] += binv_signed @ (self.diag * resid)
 
     def _refactor_tableau(self):
         """Rebuild T = Binv A from scratch to purge elimination error.
@@ -227,7 +222,7 @@ class _Simplex:
                       ((self.where == AT_UPPER) & (d > RCOST_TOL))
             attract &= movable
             if not attract.any():
-                self._refresh_basics(refine=True)
+                self._refresh_basics()
                 return "optimal"
 
             if bland:
@@ -241,12 +236,13 @@ class _Simplex:
 
             t_flip = self.hi[q] - self.lo[q]
             ratios = np.full(self.m, np.inf)
+            xb = self.x[self.basis]
             blo = self.lo[self.basis]
             bhi = self.hi[self.basis]
             up = deltas > RATIO_TOL
             dn = deltas < -RATIO_TOL
-            ratios[up] = (self.beta[up] - blo[up]) / deltas[up]
-            ratios[dn] = (self.beta[dn] - bhi[dn]) / deltas[dn]
+            ratios[up] = (xb[up] - blo[up]) / deltas[up]
+            ratios[dn] = (xb[dn] - bhi[dn]) / deltas[dn]
             np.maximum(ratios, 0.0, out=ratios)
 
             if self.m and ratios.size:
@@ -258,8 +254,7 @@ class _Simplex:
                 t = t_flip
                 self.x[q] = self.hi[q] if self.where[q] == AT_LOWER else self.lo[q]
                 self.where[q] = AT_UPPER if self.where[q] == AT_LOWER else AT_LOWER
-                self.beta -= deltas * t
-                self.x[self.basis] = self.beta
+                self.x[self.basis] = xb - deltas * t
             else:
                 t = t_rows
                 tied = np.flatnonzero(np.abs(ratios - t) <= 1e-10)
@@ -272,8 +267,8 @@ class _Simplex:
                     return "numerical"
 
                 leaving = int(self.basis[r])
-                self.beta -= deltas * t
-                enter_val = self.x[q] + direction * t
+                self.x[self.basis] = xb - deltas * t
+                self.x[q] += direction * t
                 if deltas[r] > 0.0:
                     self.where[leaving] = AT_LOWER
                     self.x[leaving] = self.lo[leaving]
@@ -282,8 +277,6 @@ class _Simplex:
                     self.x[leaving] = self.hi[leaving]
                 self.basis[r] = q
                 self.where[q] = IN_BASIS
-                self.beta[r] = enter_val
-                self.x[self.basis] = self.beta
 
                 trow = self._eliminate(r, q)
                 dq = d[q]
@@ -324,7 +317,7 @@ class _Simplex:
         for r in range(self.m):
             if self.basis[r] < self.first_art:
                 continue
-            if abs(self.beta[r]) > 1e-12:
+            if abs(self.x[self.basis[r]]) > 1e-12:
                 continue
             row = self.T[r]
             candidates = np.flatnonzero(
@@ -338,7 +331,6 @@ class _Simplex:
             self.x[leaving] = 0.0
             self.basis[r] = q
             self.where[q] = IN_BASIS
-            self.beta[r] = self.x[q]
             self._eliminate(r, q)
             self.n_pivots += 1
 

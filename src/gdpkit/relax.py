@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SENSE_GE, SENSE_LE, DomainError, Expression
+from .model import SENSE_GE, SENSE_LE, DomainError, Expression, _mul_interval
 from .lp import LinearProgram
 from .transforms import FlatModel
 
@@ -42,7 +42,6 @@ class EnvelopeRow:
 @dataclass
 class EnvelopeRows:
     rows: list[EnvelopeRow]
-    box: dict[str, tuple[float, float]]
 
 
 def mccormick_bilinear(x_bounds, y_bounds, square: bool = False) -> EnvelopeRows:
@@ -63,7 +62,7 @@ def mccormick_bilinear(x_bounds, y_bounds, square: bool = False) -> EnvelopeRows
             EnvelopeRow({"w": 1.0, "x": -2.0 * xu}, SENSE_GE, -xu * xu),
             EnvelopeRow({"w": 1.0, "x": -(xl + xu)}, SENSE_LE, -xl * xu),
         ]
-        return EnvelopeRows(rows, {"x": (xl, xu)})
+        return EnvelopeRows(rows)
 
     rows = [
         EnvelopeRow({"w": 1.0, "x": -yl, "y": -xl}, SENSE_GE, -xl * yl),
@@ -71,7 +70,7 @@ def mccormick_bilinear(x_bounds, y_bounds, square: bool = False) -> EnvelopeRows
         EnvelopeRow({"w": 1.0, "x": -yl, "y": -xu}, SENSE_LE, -xu * yl),
         EnvelopeRow({"w": 1.0, "x": -yu, "y": -xl}, SENSE_LE, -xl * yu),
     ]
-    return EnvelopeRows(rows, {"x": (xl, xu), "y": (yl, yu)})
+    return EnvelopeRows(rows)
 
 
 def _concave_parts(kind: str, exponent: float | None):
@@ -115,7 +114,7 @@ def concave_envelope(kind: str, bounds, exponent: float | None = None,
             t = lo + (up - lo) * 1e-6
         g = fprime(t)
         rows.append(EnvelopeRow({"w": 1.0, "x": -g}, SENSE_LE, f(t) - g * t))
-    return EnvelopeRows(rows, {"x": (lo, up)})
+    return EnvelopeRows(rows)
 
 
 # -- whole-model relaxation --------------------------------------------
@@ -183,9 +182,8 @@ def build_lp_relaxation(flat: FlatModel, lo, hi) -> LinearProgram:
         if kind == "bil":
             _, i, j = key
             aux_terms.append(AuxTerm(col, "bil", i, j))
-            corners = (lo[i] * lo[j], lo[i] * hi[j], hi[i] * lo[j], hi[i] * hi[j])
-            aux_lo[col - n0] = min(corners)
-            aux_hi[col - n0] = max(corners)
+            aux_lo[col - n0], aux_hi[col - n0] = _mul_interval(
+                lo[i], hi[i], lo[j], hi[j])
             env = mccormick_bilinear((lo[i], hi[i]), (lo[j], hi[j]),
                                      square=(i == j))
             symbol_cols = {"w": col, "x": i, "y": j}

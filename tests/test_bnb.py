@@ -223,6 +223,19 @@ def test_lp_failures_resplit_then_park(monkeypatch):
     res = solve_global(flat, gap=1e-4)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-0.25, rel=1e-3)
+    assert res.parked == 0
+
+
+def test_failed_resplit_nodes_are_counted_as_parked(monkeypatch):
+    def broken(lp):
+        return LpSolution("numerical", None, None, 1.0, 0)
+
+    monkeypatch.setattr(bnbmod, "lp_solve", broken)
+    res = solve_global(neg_product_model(), gap=1e-4)
+    # the root re-splits once; both children fail again and are parked
+    assert res.status == "unknown"
+    assert res.nodes == 3
+    assert res.parked == 2
 
 
 def random_instance(seed):

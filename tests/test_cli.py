@@ -34,6 +34,7 @@ def test_model_pipeline_without_approximation(tmp_path):
     report = json.loads(out.read_text())
     assert report["result"]["status"] == "optimal"
     assert report["result"]["objective"] == pytest.approx(-0.25, rel=1e-3)
+    assert report["result"]["parked"] == 0
     assert report["sizes"]["original"] == report["sizes"]["solved"]
     assert report["approximation"] == []
 

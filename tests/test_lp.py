@@ -161,6 +161,13 @@ def test_no_improving_reduced_cost_at_termination():
         assert not np.any(at_upper & movable & (d > 1e-9))
 
 
+def _basis_solve(sx):
+    """Basic values from a fresh factorization of the final basis."""
+    nonbasic = np.setdiff1d(np.arange(sx.n_total), sx.basis)
+    rhs = sx.b_std - sx.A_full[:, nonbasic] @ sx.x[nonbasic]
+    return np.linalg.solve(sx.A_full[:, sx.basis], rhs)
+
+
 def test_tableau_matches_basis_solve_without_refactor(monkeypatch):
     # the row-restricted rank-1 update alone must keep T = Binv A_full
     monkeypatch.setattr(lpmod, "REFACTOR_EVERY", 10**9)
@@ -172,7 +179,22 @@ def test_tableau_matches_basis_solve_without_refactor(monkeypatch):
         pivots += sx.n_pivots
         expected = np.linalg.solve(sx.A_full[:, sx.basis], sx.A_full)
         np.testing.assert_allclose(sx.T, expected, rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(sx.x[sx.basis], _basis_solve(sx),
+                                   rtol=0.0, atol=1e-9)
     assert pivots > 0
+
+
+def test_refresh_pulls_drifted_basics_back():
+    rng = np.random.default_rng(101)
+    noise = np.random.default_rng(7)
+    for _ in range(40):
+        sx = _Simplex(_random_lp(rng))
+        assert sx.solve().status == "optimal"
+        expected = _basis_solve(sx)
+        sx.x[sx.basis] += noise.uniform(-1e-6, 1e-6, sx.m)
+        sx._refresh_basics()
+        np.testing.assert_allclose(sx.x[sx.basis], expected,
+                                   rtol=0.0, atol=1e-9)
 
 
 def test_singular_refactor_reported_as_numerical(monkeypatch):
