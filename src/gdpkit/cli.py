@@ -1,8 +1,10 @@
 """Pipeline driver: load, approximate, flatten, solve, report.
 
 Exit codes: 0 optimal/feasible, 2 infeasible, 3 time or node budget
-exhausted, 1 usage or data errors. The report is machine-readable JSON;
-two single-worker runs on the same inputs differ only in timing fields.
+exhausted, 1 usage or data errors. The report is strict JSON: a
+non-finite number, such as the bound of an infeasible model, is written
+as null. Two single-worker runs on the same inputs differ only in timing
+fields.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -61,6 +64,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _fail(message: str) -> int:
     print(f"gdpkit: error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _finite_or_null(value):
+    """The report with every non-finite float replaced by None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def run_pipeline(args: argparse.Namespace) -> int:
@@ -129,7 +143,8 @@ def run_pipeline(args: argparse.Namespace) -> int:
         report["relative_error_pct"] = relative_error(result.objective,
                                                       args.reference)
 
-    text = json.dumps(report, indent=2) + "\n"
+    text = json.dumps(_finite_or_null(report), indent=2,
+                      allow_nan=False) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -6,7 +6,9 @@ cannot occur. Two phases: artificial columns drive the start feasible,
 then the true costs take over. Dantzig pricing by default, Bland's rule
 after a run of degenerate pivots. The tableau T = Binv A is the only
 factorization: the starting basis is diagonal +-1, so T's columns at
-that basis, times the signs, are Binv at every pivot.
+that basis, times the signs, are Binv at every pivot. A pivot rewrites
+only the block of T where the pivot column's rows and the pivot row's
+columns are both nonzero; every other cell would only subtract zero.
 
 The simplex uses numpy alone: a second BLAS library (scipy bundles its
 own OpenBLAS) would run its threads against numpy's on every pivot.
@@ -198,12 +200,14 @@ class _Simplex:
     def _eliminate(self, r: int, q: int):
         colq = self.T[:, q].copy()
         trow = self.T[r] / self.T[r, q]
-        # node tableaus are sparse: only rows with a nonzero entry in the
-        # pivot column change, so the update touches no others
-        rows = np.flatnonzero(colq)
-        self.T[rows] -= np.multiply.outer(colq[rows], trow)
+        # node tableaus are sparse: a cell changes only where both the
+        # pivot column and the pivot row are nonzero, so the update
+        # rewrites that block and no other cell
+        rows = np.flatnonzero(colq)[:, None]
+        cols = np.flatnonzero(trow)
+        self.T[rows, cols] -= colq[rows] * trow[cols]
         self.T[r] = trow
-        return trow
+        return trow, cols
 
     def _run_phase(self, cost: np.ndarray) -> str:
         movable = (self.hi - self.lo) > 0.0
@@ -278,9 +282,9 @@ class _Simplex:
                 self.basis[r] = q
                 self.where[q] = IN_BASIS
 
-                trow = self._eliminate(r, q)
+                trow, cols = self._eliminate(r, q)
                 dq = d[q]
-                d -= dq * trow
+                d[cols] -= dq * trow[cols]
                 d[q] = 0.0
 
             self.n_pivots += 1

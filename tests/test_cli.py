@@ -65,14 +65,35 @@ def test_invalid_instance_is_usage_error(tmp_path):
     assert run(["--wtn", str(bad)]) == 1
 
 
-def test_infeasible_model_exit_code(tmp_path):
+def infeasible_model_file(tmp_path) -> Path:
     m = GdpModel()
     x = m.add_variable("x", 0.0, 1.0)
     m.objective.add_linear(1.0, x)
     m.add_global(Constraint(Expression().add_linear(1.0, x), ">=", 2.0, "hi"))
     path = tmp_path / "bad_model.json"
     path.write_text(save_model(m))
+    return path
+
+
+def test_infeasible_model_exit_code(tmp_path):
+    path = infeasible_model_file(tmp_path)
     assert run(["--model", str(path), "--approx", "none"]) == 2
+
+
+def test_infeasible_report_is_strict_json(tmp_path):
+    # the infinite bound of an infeasible model is written as null, not
+    # as the Infinity token that strict JSON parsers reject
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    out = tmp_path / "report.json"
+    path = infeasible_model_file(tmp_path)
+    assert run(["--model", str(path), "--approx", "none",
+                "--out", str(out)]) == 2
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report["result"]["status"] == "infeasible"
+    assert report["result"]["bound"] is None
+    assert report["result"]["relative_gap"] is None
 
 
 def test_time_limit_exit_code(tmp_path):

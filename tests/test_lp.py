@@ -9,7 +9,14 @@ from scipy.optimize import linprog
 
 import gdpkit
 import gdpkit.lp as lpmod
+from gdpkit import (ApproxPolicy, apply_approximation, bigm_transform,
+                    build_wtn_gdp, load_wtn_data)
 from gdpkit.lp import LinearProgram, _Simplex, lp_solve
+from gdpkit.model import BINARY
+from gdpkit.relax import build_lp_relaxation
+
+REPO = Path(__file__).resolve().parent.parent
+INSTANCE = REPO / "instances" / "wtn_small.json"
 
 
 def make_lp(c, A, senses, b, lo, hi, obj_const=0.0):
@@ -168,13 +175,38 @@ def _basis_solve(sx):
     return np.linalg.solve(sx.A_full[:, sx.basis], rhs)
 
 
+def _shipped_network_lps(policy):
+    """Root relaxation of the shipped network under policy, then the
+    same box with each binary fixed to 0 and to 1 in turn."""
+    model, _ = apply_approximation(
+        build_wtn_gdp(load_wtn_data(INSTANCE)), policy)
+    flat = bigm_transform(model)
+    lo = np.array([v.lower for v in flat.variables])
+    hi = np.array([v.upper for v in flat.variables])
+    lps = [build_lp_relaxation(flat, lo, hi)]
+    for v in flat.variables:
+        if v.kind != BINARY:
+            continue
+        for value in (0.0, 1.0):
+            lo_k, hi_k = lo.copy(), hi.copy()
+            lo_k[v.id] = hi_k[v.id] = value
+            lps.append(build_lp_relaxation(flat, lo_k, hi_k))
+    return lps
+
+
 def test_tableau_matches_basis_solve_without_refactor(monkeypatch):
-    # the row-restricted rank-1 update alone must keep T = Binv A_full
+    # the rank-1 update restricted to the pivot column's nonzero rows and
+    # the pivot row's nonzero columns must alone keep T = Binv A_full;
+    # the network's root relaxation is sparse enough that most cells are
+    # skipped, the random LPs are dense
     monkeypatch.setattr(lpmod, "REFACTOR_EVERY", 10**9)
     rng = np.random.default_rng(101)
+    network_root = _shipped_network_lps(
+        ApproxPolicy(method="pwl", n_segments=21))[0]
+    assert network_root.A.shape == (292, 156)
     pivots = 0
-    for _ in range(40):
-        sx = _Simplex(_random_lp(rng))
+    for lp in [_random_lp(rng) for _ in range(40)] + [network_root]:
+        sx = _Simplex(lp)
         assert sx.solve().status == "optimal"
         pivots += sx.n_pivots
         expected = np.linalg.solve(sx.A_full[:, sx.basis], sx.A_full)
@@ -182,6 +214,45 @@ def test_tableau_matches_basis_solve_without_refactor(monkeypatch):
         np.testing.assert_allclose(sx.x[sx.basis], _basis_solve(sx),
                                    rtol=0.0, atol=1e-9)
     assert pivots > 0
+
+
+def _full_row_eliminate(self, r, q):
+    """Reference pivot: every row with a nonzero pivot-column entry is
+    rewritten across all columns."""
+    colq = self.T[:, q].copy()
+    trow = self.T[r] / self.T[r, q]
+    rows = np.flatnonzero(colq)
+    self.T[rows] -= np.multiply.outer(colq[rows], trow)
+    self.T[r] = trow
+    return trow, np.arange(trow.size)
+
+
+def test_restricted_update_walks_the_full_row_update_path(monkeypatch):
+    # skipped cells would only have subtracted zero, so both updates take
+    # the same pivots to the same point and the same tableau
+    lps = (_shipped_network_lps(ApproxPolicy(method="quad"))
+           + _shipped_network_lps(ApproxPolicy(method="pwl", n_segments=21)))
+    assert len(lps) == 98
+    rng = np.random.default_rng(101)
+    lps += [_random_lp(rng) for _ in range(40)]
+    statuses = set()
+    for lp in lps:
+        sx = _Simplex(lp)
+        sol = sx.solve()
+        with monkeypatch.context() as patch:
+            patch.setattr(_Simplex, "_eliminate", _full_row_eliminate)
+            ref_sx = _Simplex(lp)
+            ref = ref_sx.solve()
+        assert sol.status == ref.status
+        assert sol.n_pivots == ref.n_pivots
+        assert sol.objective == ref.objective
+        if ref.x is None:
+            assert sol.x is None
+        else:
+            assert np.array_equal(sol.x, ref.x)
+        assert np.array_equal(sx.T, ref_sx.T)
+        statuses.add(sol.status)
+    assert "optimal" in statuses
 
 
 def test_refresh_pulls_drifted_basics_back():
