@@ -1,10 +1,11 @@
 """Global solver for flattened models.
 
-Best-bound branch and bound: binaries are branched to integrality,
-continuous variables in nonlinear terms are split spatially so the
-envelope relaxations tighten. Incumbents come only from LP points that
-pass an exact feasibility check against the original rows. Defaults
-match a 0.01 % relative gap and a 3600 s wall clock budget.
+Best-bound branch and bound, one node at a time: binaries are branched
+to integrality, continuous variables in nonlinear terms are split
+spatially so the envelope relaxations tighten. Incumbents come only
+from LP points that pass an exact feasibility check against the
+original rows. Defaults match a 0.01 % relative gap and a 3600 s wall
+clock budget.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import heapq
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,8 +172,12 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
 
     Maximization is handled by negating the objective on the way in and
     the incumbent/bound on the way out. Every reported incumbent passes
-    feasibility_check against the original rows at 1e-6.
+    feasibility_check against the original rows at 1e-6. workers
+    accepts only 1; the keyword stays because bench/run.py and
+    bench/reference.py still pass workers=1.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}")
     t0 = time.monotonic()
     maximize = flat.sense == "max"
     work = flat
@@ -193,15 +197,14 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
     unexplored: list[float] = []
     heap: list[tuple[float, int, int, BnbNode]] = []
     seq = 0
-    heapq.heappush(heap, (-math.inf, 0, seq,
-                          BnbNode(lo0, hi0, -math.inf, 0)))
     nodes_done = 0
     next_log = log_every
     stop: str | None = None
 
-    def process(node: BnbNode):
-        lp = build_lp_relaxation(work, node.lo, node.hi)
-        return lp, lp_solve(lp)
+    def push(kid: BnbNode) -> None:
+        nonlocal seq
+        seq += 1
+        heapq.heappush(heap, (kid.bound, -kid.depth, seq, kid))
 
     def open_bound() -> float:
         vals = [z]
@@ -211,99 +214,72 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
             vals.append(min(unexplored))
         return min(vals)
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while heap:
-            if time.monotonic() - t0 > time_limit:
-                stop = "time_limit"
-                break
-            if node_limit is not None and nodes_done >= node_limit:
-                stop = "node_limit"
-                break
-            bound_now = open_bound()
-            if z < math.inf and relative_gap(z, bound_now) <= gap:
-                stop = "gap"
-                break
+    push(BnbNode(lo0, hi0, -math.inf, 0))
+    while heap:
+        if time.monotonic() - t0 > time_limit:
+            stop = "time_limit"
+            break
+        if node_limit is not None and nodes_done >= node_limit:
+            stop = "node_limit"
+            break
+        if z < math.inf and relative_gap(z, open_bound()) <= gap:
+            stop = "gap"
+            break
 
-            batch: list[BnbNode] = []
-            want = workers if workers > 1 else 1
-            while heap and len(batch) < want:
-                _, _, _, node = heapq.heappop(heap)
-                if node.bound >= z:
-                    continue
-                batch.append(node)
-            if not batch:
-                continue
-
-            if pool is not None:
-                results = list(pool.map(process, batch))
-            else:
-                results = [process(node) for node in batch]
-
-            for node, (lp, sol) in zip(batch, results):
-                nodes_done += 1
-                if sol.status == "infeasible":
-                    continue
-                if sol.status != "optimal":
-                    decision = _midsplit_decision(node, work, lp)
-                    if node.resplit or decision is None:
-                        unexplored.append(node.bound)
-                        continue
-                    for kid in _children(node, decision):
-                        kid.resplit = True
-                        seq += 1
-                        heapq.heappush(heap, (kid.bound, -kid.depth, seq, kid))
-                    continue
-
-                node_bound = max(node.bound, sol.objective)
-                if node_bound >= z:
-                    continue
-                point = sol.x[:n_model]
-                feasible, _ = feasibility_check(point, work, FEAS_TOL)
-                if feasible:
-                    z_point = work.objective.evaluate(point)
-                    if z_point < z:
-                        z = z_point
-                        best_x = point.copy()
-                    if node_bound >= z:
-                        continue
+        node = heapq.heappop(heap)[3]
+        if node.bound >= z:
+            continue
+        lp = build_lp_relaxation(work, node.lo, node.hi)
+        sol = lp_solve(lp)
+        nodes_done += 1
+        if sol.status == "optimal":
+            node_bound = max(node.bound, sol.objective)
+            point = sol.x[:n_model]
+            if node_bound < z and feasibility_check(point, work, FEAS_TOL)[0]:
+                z_point = work.objective.evaluate(point)
+                if z_point < z:
+                    z = z_point
+                    best_x = point.copy()
+            if node_bound < z:
                 decision = branch_select(node, lp, sol, work)
                 if decision is None:
                     unexplored.append(node_bound)
-                    continue
+                else:
+                    for kid in _children(node, decision):
+                        kid.bound = node_bound
+                        push(kid)
+        elif sol.status != "infeasible":
+            decision = _midsplit_decision(node, work, lp)
+            if node.resplit or decision is None:
+                unexplored.append(node.bound)
+            else:
                 for kid in _children(node, decision):
-                    kid.bound = node_bound
-                    seq += 1
-                    heapq.heappush(heap, (kid.bound, -kid.depth, seq, kid))
+                    kid.resplit = True
+                    push(kid)
 
-            if nodes_done >= next_log:
-                next_log += log_every
-                logger.info(
-                    "nodes=%d open=%d bound=%.10g incumbent=%s gap=%.4g elapsed=%.2f",
-                    nodes_done, len(heap), open_bound(),
-                    "none" if best_x is None else f"{z:.10g}",
-                    relative_gap(z if best_x is not None else None, open_bound()),
-                    time.monotonic() - t0)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+        if nodes_done >= next_log:
+            next_log += log_every
+            logger.info(
+                "nodes=%d open=%d bound=%.10g incumbent=%s gap=%.4g elapsed=%.2f",
+                nodes_done, len(heap), open_bound(),
+                "none" if best_x is None else f"{z:.10g}",
+                relative_gap(z if best_x is not None else None, open_bound()),
+                time.monotonic() - t0)
 
+    # the heap is empty when the search ends on its own, so this is
+    # min(unexplored + [z]) there
+    bound = open_bound()
     have_inc = best_x is not None
     if stop is None:
-        candidates = list(unexplored) + ([z] if have_inc else [])
-        bound = min(candidates) if candidates else math.inf
         if have_inc:
             status = "optimal" if relative_gap(z, bound) <= gap else "feasible"
         else:
             status = "unknown" if unexplored else "infeasible"
     elif stop == "gap":
-        bound = open_bound()
         status = "optimal"
     elif stop == "time_limit":
-        bound = open_bound()
         status = "time_limit"
     else:  # node_limit
-        bound = open_bound()
         status = "feasible" if have_inc else "unknown"
 
     objective = z if have_inc else None

@@ -3,8 +3,7 @@
 Exit codes: 0 optimal/feasible, 2 infeasible, 3 time or node budget
 exhausted, 1 usage or data errors. The report is strict JSON: a
 non-finite number, such as the bound of an infeasible model, is written
-as null. Two single-worker runs on the same inputs differ only in timing
-fields.
+as null. Two runs on the same inputs differ only in timing fields.
 """
 
 from __future__ import annotations
@@ -36,8 +35,16 @@ _STATUS_EXIT = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with usage errors exiting EXIT_USAGE, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="gdpkit",
         description="Approximate, flatten and globally solve a disjunctive "
                     "model or a water treatment network instance.")
@@ -54,8 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall clock budget in seconds (default: 3600)")
     p.add_argument("--reference", type=float, default=None,
                    help="reference objective for the relative error field")
-    p.add_argument("--workers", type=int, default=1,
-                   help="node workers (default: 1)")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write the report here instead of stdout")
     return p
@@ -78,6 +83,10 @@ def _finite_or_null(value):
 
 
 def run_pipeline(args: argparse.Namespace) -> int:
+    if args.segments < 1:
+        return _fail(f"--segments must be at least 1, got {args.segments}")
+    if not args.gap >= 0.0:
+        return _fail(f"--gap must be nonnegative, got {args.gap}")
     try:
         if args.wtn:
             source = args.wtn
@@ -107,8 +116,7 @@ def run_pipeline(args: argparse.Namespace) -> int:
         approximated, approx_report = apply_approximation(gdp, policy)
         flat = bigm_transform(approximated)
 
-    result = solve_global(flat, gap=args.gap, time_limit=args.time_limit,
-                          workers=args.workers)
+    result = solve_global(flat, gap=args.gap, time_limit=args.time_limit)
 
     incumbent = None
     if result.x is not None:
@@ -121,7 +129,6 @@ def run_pipeline(args: argparse.Namespace) -> int:
             "segments": args.segments if args.approx == "pwl" else None,
             "gap": args.gap,
             "time_limit": args.time_limit,
-            "workers": args.workers,
         },
         "sizes": {
             "original": original_flat.counts(),

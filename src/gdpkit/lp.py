@@ -61,14 +61,6 @@ class LpSolution:
     n_pivots: int
 
 
-def _row_extremes(A: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    pos = np.where(A > 0, A, 0.0)
-    neg = np.where(A < 0, A, 0.0)
-    row_min = pos @ lo + neg @ hi
-    row_max = pos @ hi + neg @ lo
-    return row_min, row_max
-
-
 class _Simplex:
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -95,7 +87,9 @@ class _Simplex:
             A /= scale[:, None]
             b /= scale
 
-        row_min, _ = _row_extremes(A, lp.lo, lp.hi)
+        # a slack never exceeds b minus the row's least value over the box
+        row_min = (np.where(A > 0, A, 0.0) @ lp.lo
+                   + np.where(A < 0, A, 0.0) @ lp.hi)
         slack_up = np.maximum(0.0, b - row_min)
 
         # start: structurals at lower bound, slacks basic where they fit

@@ -308,9 +308,28 @@ class GdpModel:
 # -- interval arithmetic ----------------------------------------------
 
 
-def _mul_interval(lo_a: float, hi_a: float, lo_b: float, hi_b: float):
-    corners = (lo_a * lo_b, lo_a * hi_b, hi_a * lo_b, hi_a * hi_b)
-    return min(corners), max(corners)
+def term_interval(kind: str, lo, hi, var: int, other: int | None = None,
+                  exponent: float | None = None) -> tuple[float, float]:
+    """Exact range over a box of one term: "bil" var*other, "pow"
+    var**exponent or "log" log(var).
+
+    lo/hi are indexable by variable id. Raises DomainError if a log
+    term's box reaches values <= 0 or a power term's box reaches
+    negative values.
+    """
+    if kind == "bil":
+        corners = (lo[var] * lo[other], lo[var] * hi[other],
+                   hi[var] * lo[other], hi[var] * hi[other])
+        return min(corners), max(corners)
+    if kind == "pow":
+        if lo[var] < 0.0:
+            raise DomainError(f"power term over box reaching negative values "
+                              f"(var id {var}, lower {lo[var]})")
+        return lo[var] ** exponent, hi[var] ** exponent
+    if lo[var] <= 0.0:
+        raise DomainError(f"log term over box reaching values <= 0 "
+                          f"(var id {var}, lower {lo[var]})")
+    return math.log(lo[var]), math.log(hi[var])
 
 
 def interval_eval(expr: Expression, lo, hi) -> tuple[float, float]:
@@ -328,24 +347,18 @@ def interval_eval(expr: Expression, lo, hi) -> tuple[float, float]:
         out_lo += min(a, b)
         out_hi += max(a, b)
     for c, i, j in expr.bilinear:
-        plo, phi = _mul_interval(lo[i], hi[i], lo[j], hi[j])
-        a, b = c * plo, c * phi
+        tlo, thi = term_interval("bil", lo, hi, i, j)
+        a, b = c * tlo, c * thi
         out_lo += min(a, b)
         out_hi += max(a, b)
     for c, v, p in expr.powers:
-        if lo[v] < 0.0:
-            raise DomainError(f"power term over box reaching negative values "
-                              f"(var id {v}, lower {lo[v]})")
-        flo, fhi = lo[v] ** p, hi[v] ** p
-        a, b = c * flo, c * fhi
+        tlo, thi = term_interval("pow", lo, hi, v, exponent=p)
+        a, b = c * tlo, c * thi
         out_lo += min(a, b)
         out_hi += max(a, b)
     for c, v in expr.logs:
-        if lo[v] <= 0.0:
-            raise DomainError(f"log term over box reaching values <= 0 "
-                              f"(var id {v}, lower {lo[v]})")
-        flo, fhi = math.log(lo[v]), math.log(hi[v])
-        a, b = c * flo, c * fhi
+        tlo, thi = term_interval("log", lo, hi, v)
+        a, b = c * tlo, c * thi
         out_lo += min(a, b)
         out_hi += max(a, b)
     return out_lo, out_hi

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SENSE_GE, SENSE_LE, DomainError, Expression, _mul_interval
+from .model import SENSE_GE, SENSE_LE, DomainError, Expression, term_interval
 from .lp import LinearProgram
 from .transforms import FlatModel
 
@@ -182,24 +182,16 @@ def build_lp_relaxation(flat: FlatModel, lo, hi) -> LinearProgram:
         if kind == "bil":
             _, i, j = key
             aux_terms.append(AuxTerm(col, "bil", i, j))
-            aux_lo[col - n0], aux_hi[col - n0] = _mul_interval(
-                lo[i], hi[i], lo[j], hi[j])
+            aux_lo[col - n0], aux_hi[col - n0] = term_interval(
+                "bil", lo, hi, i, j)
             env = mccormick_bilinear((lo[i], hi[i]), (lo[j], hi[j]),
                                      square=(i == j))
             symbol_cols = {"w": col, "x": i, "y": j}
         else:
             _, v, p = key
             aux_terms.append(AuxTerm(col, kind, v, exponent=p))
-            if kind == "pow":
-                if lo[v] < 0.0:
-                    raise DomainError(f"power term over negative box (var {v})")
-                aux_lo[col - n0] = lo[v] ** p
-                aux_hi[col - n0] = hi[v] ** p
-            else:
-                if lo[v] <= 0.0:
-                    raise DomainError(f"log term over non-positive box (var {v})")
-                aux_lo[col - n0] = math.log(lo[v])
-                aux_hi[col - n0] = math.log(hi[v])
+            aux_lo[col - n0], aux_hi[col - n0] = term_interval(
+                kind, lo, hi, v, exponent=p)
             if hi[v] - lo[v] > 1e-12:
                 env = concave_envelope(kind, (lo[v], hi[v]), exponent=p)
             else:

@@ -190,12 +190,9 @@ def test_global_bound_is_monotone(caplog):
     assert bounds[-1] <= res.objective + 1e-12
 
 
-def test_workers_agree_with_single_worker():
-    flat = neg_product_model()
-    single = solve_global(flat, gap=1e-4)
-    multi = solve_global(flat, gap=1e-4, workers=2)
-    assert multi.status == "optimal"
-    assert multi.objective == pytest.approx(single.objective, rel=1e-4)
+def test_workers_other_than_one_rejected():
+    with pytest.raises(ValueError, match="workers"):
+        solve_global(neg_product_model(), workers=2)
 
 
 def test_node_limit_is_truthful():

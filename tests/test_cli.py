@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from gdpkit.cli import build_parser, run_pipeline
+from gdpkit.cli import build_parser, main, run_pipeline
 from gdpkit.model import Constraint, Expression, GdpModel, save_model
 
 REPO = Path(__file__).resolve().parent.parent
@@ -135,3 +135,29 @@ def test_quad_report_sizes_self_audit(tmp_path):
     assert len(report["approximation"]) == 2
     assert report["result"]["incumbent"]["y[Y[u1]]"] == pytest.approx(1.0,
                                                                       abs=1e-6)
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["--bogus"],
+    [],
+    ["--wtn", str(INSTANCE), "--workers", "2"],
+])
+def test_parser_usage_errors_exit_1(argv):
+    assert exit_code(argv) == 1
+
+
+@pytest.mark.parametrize("flag", [["--segments", "0"], ["--gap=-1e-4"]])
+def test_bad_numeric_flags_are_usage_errors(flag, capsys):
+    argv = ["--wtn", str(INSTANCE), "--approx", "pwl"] + flag
+    assert exit_code(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gdpkit: error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err

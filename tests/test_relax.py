@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gdpkit.lp import lp_solve
-from gdpkit.model import Constraint, DomainError, Expression
+from gdpkit.model import Constraint, DomainError, Expression, interval_eval
 from gdpkit.relax import (
     build_lp_relaxation,
     concave_envelope,
@@ -256,3 +256,35 @@ def test_relaxation_below_true_minimum():
         for coef, i, j in flat.objective.bilinear:
             obj += coef * flat_pts[i] * flat_pts[j]
         assert sol.objective <= float(obj[feasible].min()) + 1e-7
+
+
+def test_aux_bounds_equal_the_lone_terms_interval():
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        flat = FlatModel(sense="min")
+        for name in ("a", "b"):
+            low = float(rng.uniform(-2, 2))
+            flat.add_variable(name, low, low + float(rng.uniform(0.0, 3.0)))
+        low = float(rng.uniform(1e-3, 2))
+        flat.add_variable("c", low, low + float(rng.uniform(0.0, 3.0)))
+        p = float(rng.uniform(0.1, 0.9))
+        terms = [Expression().add_bilinear(1.0, 0, 1),
+                 Expression().add_bilinear(1.0, 0, 0),
+                 Expression().add_power(1.0, 2, p),
+                 Expression().add_log(1.0, 2)]
+        flat.objective = (Expression().add_bilinear(1.0, 0, 1)
+                          .add_bilinear(1.0, 0, 0).add_power(1.0, 2, p)
+                          .add_log(1.0, 2))
+        lo, hi = flat.bounds_arrays()
+        lp = build_lp_relaxation(flat, lo, hi)
+        assert len(lp.aux_terms) == len(terms)
+        for aux, t in zip(lp.aux_terms, terms):
+            assert (lp.lo[aux.col], lp.hi[aux.col]) == interval_eval(t, lo, hi)
+
+
+def test_relaxation_rejects_log_box_reaching_zero():
+    flat = FlatModel(sense="min")
+    x = flat.add_variable("x", 0.0, 1.0)
+    flat.objective = Expression().add_log(1.0, x)
+    with pytest.raises(DomainError):
+        build_lp_relaxation(flat, [0.0], [1.0])
