@@ -63,8 +63,8 @@ class PwlTable:
         return np.interp(x, self.breakpoints, self.values)
 
     def max_grid_error(self, f: Callable, n_points: int = ERROR_GRID) -> float:
-        grid = np.linspace(self.breakpoints[0], self.breakpoints[-1], n_points)
-        return float(np.max(np.abs(self.interpolate(grid) - f(grid))))
+        return _grid_errors(self.interpolate, f, self.breakpoints[0],
+                            self.breakpoints[-1], n_points)[0]
 
 
 @dataclass
@@ -86,11 +86,19 @@ class PwlEncoding:
 class ApproxPolicy:
     method: str = "quad"  # "quad" or "pwl"
     n_segments: int = 101
-    n_samples: int = 1000
 
     def __post_init__(self):
         if self.method not in ("quad", "pwl"):
             raise ValueError(f"unknown approximation method {self.method!r}")
+
+
+def _grid_errors(approx: Callable, f: Callable, lower: float, upper: float,
+                 n_points: int = ERROR_GRID) -> tuple[float, float]:
+    """Max and RMS of approx - f over n_points uniform points of
+    [lower, upper]."""
+    grid = np.linspace(lower, upper, n_points)
+    err = approx(grid) - f(grid)
+    return float(np.max(np.abs(err))), float(np.sqrt(np.mean(err**2)))
 
 
 def _term_function(kind: str, exponent: float | None) -> Callable:
@@ -122,14 +130,12 @@ def fit_quadratic(f: Callable, lower: float, upper: float,
     residual = float(np.linalg.norm(normal @ coeffs - target))
     residual /= max(1.0, float(np.linalg.norm(target)))
 
-    grid = np.linspace(lower, upper, ERROR_GRID)
-    err = (coeffs[0] * grid**2 + coeffs[1] * grid + coeffs[2]) - f(grid)
+    max_abs, rms = _grid_errors(
+        lambda x: coeffs[0] * x**2 + coeffs[1] * x + coeffs[2], f, lower, upper)
     return QuadFit(
         a=float(coeffs[0]), b=float(coeffs[1]), c=float(coeffs[2]),
         lower=float(lower), upper=float(upper),
-        max_abs_error=float(np.max(np.abs(err))),
-        rms_error=float(np.sqrt(np.mean(err**2))),
-        normal_residual=residual,
+        max_abs_error=max_abs, rms_error=rms, normal_residual=residual,
     )
 
 
@@ -243,7 +249,7 @@ def apply_approximation(model: GdpModel, policy: ApproxPolicy):
                 "policy": policy.method,
             }
             if policy.method == "quad":
-                fit = fit_quadratic(f, var.lower, var.upper, policy.n_samples)
+                fit = fit_quadratic(f, var.lower, var.upper)
                 expr.constant += coef * fit.c
                 expr.add_linear(coef * fit.b, vid)
                 expr.add_bilinear(coef * fit.a, vid, vid)
@@ -264,10 +270,9 @@ def apply_approximation(model: GdpModel, policy: ApproxPolicy):
                 else:
                     for row in enc.rows:
                         out.add_global(row)
-                grid = np.linspace(var.lower, var.upper, ERROR_GRID)
-                resid = table.interpolate(grid) - f(grid)
-                entry.update(max_abs_error=float(np.max(np.abs(resid))),
-                             rms_error=float(np.sqrt(np.mean(resid**2))),
+                max_abs, rms = _grid_errors(table.interpolate, f, var.lower,
+                                            var.upper)
+                entry.update(max_abs_error=max_abs, rms_error=rms,
                              added_continuous=len(enc.deltas) + 1,
                              added_binary=len(enc.binaries),
                              added_constraints=len(enc.rows))

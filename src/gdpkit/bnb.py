@@ -87,8 +87,7 @@ def feasibility_check(point, flat: FlatModel, tol: float = FEAS_TOL):
     return not violations, violations
 
 
-def branch_select(node: BnbNode, lp, sol: LpSolution, flat: FlatModel,
-                  int_tol: float = INT_TOL):
+def branch_select(node: BnbNode, lp, sol: LpSolution, flat: FlatModel):
     """Pick the branching decision at an unpruned, infeasible LP point.
 
     Fractional binaries first (most fractional, median index among
@@ -102,7 +101,7 @@ def branch_select(node: BnbNode, lp, sol: LpSolution, flat: FlatModel,
         if v.kind != BINARY or node.hi[v.id] - node.lo[v.id] <= 0.0:
             continue
         frac = min(x[v.id], 1.0 - x[v.id])
-        if frac > int_tol:
+        if frac > INT_TOL:
             scored.append((frac, v.id))
     if scored:
         best = max(s for s, _ in scored)
@@ -178,6 +177,8 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
     """
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
+    if not time_limit >= 0.0:
+        raise ValueError(f"time_limit must be nonnegative, got {time_limit!r}")
     t0 = time.monotonic()
     maximize = flat.sense == "max"
     work = flat

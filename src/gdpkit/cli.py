@@ -87,6 +87,12 @@ def run_pipeline(args: argparse.Namespace) -> int:
         return _fail(f"--segments must be at least 1, got {args.segments}")
     if not args.gap >= 0.0:
         return _fail(f"--gap must be nonnegative, got {args.gap}")
+    if not args.time_limit >= 0.0:
+        return _fail(f"--time-limit must be nonnegative, got {args.time_limit}")
+    if args.reference is not None and not (math.isfinite(args.reference)
+                                           and args.reference != 0.0):
+        return _fail(f"--reference must be finite and nonzero, "
+                     f"got {args.reference}")
     try:
         if args.wtn:
             source = args.wtn

@@ -5,10 +5,11 @@ this), so every auxiliary column can be boxed as well and unboundedness
 cannot occur. Two phases: artificial columns drive the start feasible,
 then the true costs take over. Dantzig pricing by default, Bland's rule
 after a run of degenerate pivots. The tableau T = Binv A is the only
-factorization: the starting basis is diagonal +-1, so T's columns at
-that basis, times the signs, are Binv at every pivot. A pivot rewrites
-only the block of T where the pivot column's rows and the pivot row's
-columns are both nonzero; every other cell would only subtract zero.
+factorization: rows are negated where needed so that the starting basis
+is the identity, so T's columns at that basis are Binv at every pivot.
+A pivot rewrites only the block of T where the pivot column's rows and
+the pivot row's columns are both nonzero; every other cell would only
+subtract zero.
 
 The simplex uses numpy alone: a second BLAS library (scipy bundles its
 own OpenBLAS) would run its threads against numpy's on every pivot.
@@ -45,6 +46,9 @@ class LinearProgram:
     aux_terms: list = field(default_factory=list)
 
     def __post_init__(self):
+        if len(self.senses) != len(self.b):
+            raise ValueError(f"{len(self.senses)} row senses for "
+                             f"{len(self.b)} rows")
         self.c = np.asarray(self.c, dtype=float)
         self.A = np.asarray(self.A, dtype=float).reshape(len(self.b), len(self.c))
         self.b = np.asarray(self.b, dtype=float)
@@ -66,128 +70,103 @@ class _Simplex:
         self.lp = lp
         m, n = lp.A.shape
         self.n_struct = n
+        self.m = m
+
+        # the senses are decoded once; _violation reads the same masks
+        senses = np.asarray(lp.senses, dtype=str)
+        self.ge = senses == ">="
+        self.eq = senses == "="
+        bad = ~(self.ge | self.eq | (senses == "<="))
+        if bad.any():
+            first = lp.senses[int(np.argmax(bad))]
+            raise ValueError(f"bad row sense {first!r}")
 
         # normalize: >= rows negated, so rows are <= or =
-        A = lp.A.copy()
-        b = lp.b.copy()
-        is_eq = np.zeros(m, dtype=bool)
-        for i, s in enumerate(lp.senses):
-            if s == ">=":
-                A[i] *= -1.0
-                b[i] *= -1.0
-            elif s == "=":
-                is_eq[i] = True
-            elif s != "<=":
-                raise ValueError(f"bad row sense {s!r}")
+        flip = np.where(self.ge, -1.0, 1.0)
+        A = lp.A * flip[:, None]
+        b = lp.b * flip
 
         # row equilibration keeps big-M rows from amplifying pivot noise
-        if m:
-            scale = np.abs(A).max(axis=1)
-            scale[scale <= 0.0] = 1.0
-            A /= scale[:, None]
-            b /= scale
+        scale = np.abs(A).max(axis=1, initial=0.0)
+        scale[scale <= 0.0] = 1.0
+        A /= scale[:, None]
+        b /= scale
 
         # a slack never exceeds b minus the row's least value over the box
         row_min = (np.where(A > 0, A, 0.0) @ lp.lo
                    + np.where(A < 0, A, 0.0) @ lp.hi)
         slack_up = np.maximum(0.0, b - row_min)
 
-        # start: structurals at lower bound, slacks basic where they fit
-        x0 = lp.lo.copy()
-        resid = b - A @ x0
+        # start: structurals at lower bound. Each row is one of three
+        # kinds: its slack basic where the residual fits; its slack
+        # parked at the bound nearer the residual plus an artificial; an
+        # equality plus an artificial.
+        resid = b - A @ lp.lo
+        ineq = ~self.eq
+        slack_basic = ineq & (resid >= 0.0) & (resid <= slack_up)
+        art = ~slack_basic
+        parked = np.where(ineq & art & (resid >= 0.0), slack_up, 0.0)
+        art_resid = resid - parked
+        negative = art & (art_resid < 0.0)
 
-        self.slack_col = np.full(m, -1, dtype=int)
-        k = n
-        for i in range(m):
-            if not is_eq[i]:
-                self.slack_col[i] = k
-                k += 1
+        self.first_art = n + int(ineq.sum())
+        k = self.first_art + int(art.sum())
+        slack_col = np.full(m, -1)
+        slack_col[ineq] = np.arange(n, self.first_art)
+        basis = slack_col.copy()
+        basis[art] = np.arange(self.first_art, k)
+        beta = np.where(art, np.abs(art_resid), resid)
 
-        basis = np.full(m, -1, dtype=int)
-        diag = np.ones(m)
-        beta = np.zeros(m)
-        slack_x = np.zeros(m)
-        art_row = []
-        art_sigma = []
-        for i in range(m):
-            r = resid[i]
-            if not is_eq[i]:
-                if 0.0 <= r <= slack_up[i]:
-                    basis[i] = self.slack_col[i]
-                    beta[i] = r
-                    continue
-                slack_x[i] = 0.0 if r < 0.0 else slack_up[i]
-                r = r - slack_x[i]
-            sigma = 1.0 if r >= 0.0 else -1.0
-            basis[i] = k
-            diag[i] = sigma
-            beta[i] = abs(r)
-            art_row.append(i)
-            art_sigma.append(sigma)
-            k += 1
-        self.first_art = k - len(art_row)
-
+        # rows whose artificial starts from a negative residual are
+        # negated, so the starting basis is the identity
         self.A_full = np.zeros((m, k))
         self.A_full[:, :n] = A
-        ineq = np.flatnonzero(self.slack_col >= 0)
-        self.A_full[ineq, self.slack_col[ineq]] = 1.0
-        for pos, (i, sigma) in enumerate(zip(art_row, art_sigma)):
-            self.A_full[i, self.first_art + pos] = sigma
+        self.A_full[ineq, slack_col[ineq]] = 1.0
+        self.A_full[negative] *= -1.0
+        self.A_full[art, basis[art]] = 1.0
+        b[negative] *= -1.0
 
         self.lo = np.zeros(k)
-        self.hi = np.empty(k)
+        self.hi = np.zeros(k)
         self.lo[:n] = lp.lo
         self.hi[:n] = lp.hi
-        self.hi[n:] = 0.0
-        self.hi[self.slack_col[ineq]] = slack_up[ineq]
-        for pos, i in enumerate(art_row):
-            self.hi[self.first_art + pos] = max(1.0, beta[i])
+        self.hi[slack_col[ineq]] = slack_up[ineq]
+        self.hi[basis[art]] = np.maximum(1.0, beta[art])
 
         self.n_total = k
         self.b_std = b
-        self.m = m
 
         self.x = np.zeros(k)
         self.x[:n] = lp.lo
         self.where = np.full(k, AT_LOWER, dtype=np.int8)
-        for i in ineq:
-            sc = self.slack_col[i]
-            if basis[i] != sc and slack_x[i] > 0.0:
-                # nonbasic slack sits at whichever bound absorbed most
-                self.x[sc] = slack_x[i]
-                self.where[sc] = AT_UPPER
+        # a nonbasic slack sits at whichever bound absorbed most
+        upper = parked > 0.0
+        self.x[slack_col[upper]] = parked[upper]
+        self.where[slack_col[upper]] = AT_UPPER
         self.basis = basis
         self.where[basis] = IN_BASIS
         self.x[basis] = beta
 
-        # T = Binv @ A_full; the starting basis is diagonal +-1.
+        # T = Binv @ A_full, and Binv is T's start columns at every pivot
         self.start_basis = basis.copy()
-        self.diag = diag
-        self.T = diag[:, None] * self.A_full
+        self.T = self.A_full.copy()
         self.n_pivots = 0
 
     # -- pivoting machinery -------------------------------------------
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
-        if self.m == 0:
-            return cost.copy()
         return cost - cost[self.basis] @ self.T
 
     def _refresh_basics(self):
         """Pull the incrementally updated basic values back onto the
         rows with two residual corrections through Binv."""
-        if self.m == 0:
-            return
-        binv_signed = self.T[:, self.start_basis]
+        binv = self.T[:, self.start_basis]
         for _ in range(2):
-            resid = self.b_std - self.A_full @ self.x
-            self.x[self.basis] += binv_signed @ (self.diag * resid)
+            self.x[self.basis] += binv @ (self.b_std - self.A_full @ self.x)
 
     def _refactor_tableau(self):
         """Rebuild T = Binv A from scratch to purge elimination error.
         Raises LinAlgError when the basis matrix is singular."""
-        if self.m == 0:
-            return
         B = self.A_full[:, self.basis]
         self.T = np.linalg.solve(B, self.A_full)
 
@@ -242,11 +221,7 @@ class _Simplex:
             ratios[up] = (xb[up] - blo[up]) / deltas[up]
             ratios[dn] = (xb[dn] - bhi[dn]) / deltas[dn]
             np.maximum(ratios, 0.0, out=ratios)
-
-            if self.m and ratios.size:
-                t_rows = float(ratios.min())
-            else:
-                t_rows = np.inf
+            t_rows = float(ratios.min(initial=np.inf))
 
             if t_flip <= t_rows:
                 t = t_flip
@@ -284,8 +259,7 @@ class _Simplex:
             self.n_pivots += 1
             since_refresh += 1
             since_refactor += 1
-            if deltas.size:
-                moved += abs(t) * (1.0 + float(np.abs(deltas).max()))
+            moved += abs(t) * (1.0 + float(np.abs(deltas).max(initial=0.0)))
             if since_refactor >= REFACTOR_EVERY:
                 try:
                     self._refactor_tableau()
@@ -372,18 +346,10 @@ class _Simplex:
                           self.n_pivots)
 
     def _violation(self, x: np.ndarray) -> float:
-        lp = self.lp
-        worst = 0.0
-        if self.m:
-            vals = lp.A @ x
-            for i, s in enumerate(lp.senses):
-                if s == "<=":
-                    worst = max(worst, vals[i] - lp.b[i])
-                elif s == ">=":
-                    worst = max(worst, lp.b[i] - vals[i])
-                else:
-                    worst = max(worst, abs(vals[i] - lp.b[i]))
-        return max(worst, 0.0)
+        excess = self.lp.A @ x - self.lp.b
+        excess = np.where(self.eq, np.abs(excess),
+                          np.where(self.ge, -excess, excess))
+        return float(excess.max(initial=0.0))
 
     def _failure(self, status: str) -> LpSolution:
         return LpSolution(status, None, None, float("inf"),

@@ -182,9 +182,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.problems
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 class GdpModel:
     """Disjunctive program: objective, globals, disjunctions, logic clauses."""

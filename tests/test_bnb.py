@@ -195,6 +195,12 @@ def test_workers_other_than_one_rejected():
         solve_global(neg_product_model(), workers=2)
 
 
+@pytest.mark.parametrize("limit", [float("nan"), -1.0])
+def test_bad_time_limit_rejected(limit):
+    with pytest.raises(ValueError, match="time_limit"):
+        solve_global(neg_product_model(), time_limit=limit)
+
+
 def test_node_limit_is_truthful():
     flat = neg_product_model()
     res = solve_global(flat, node_limit=3)

@@ -153,7 +153,14 @@ def test_parser_usage_errors_exit_1(argv):
     assert exit_code(argv) == 1
 
 
-@pytest.mark.parametrize("flag", [["--segments", "0"], ["--gap=-1e-4"]])
+@pytest.mark.parametrize("flag", [
+    ["--segments", "0"],
+    ["--gap=-1e-4"],
+    ["--reference", "0"],
+    ["--reference", "nan"],
+    ["--time-limit", "nan"],
+    ["--time-limit=-1"],
+])
 def test_bad_numeric_flags_are_usage_errors(flag, capsys):
     argv = ["--wtn", str(INSTANCE), "--approx", "pwl"] + flag
     assert exit_code(argv) == 1

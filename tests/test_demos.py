@@ -1,7 +1,7 @@
 """Smoke test: each quick demo runs to completion in a fresh interpreter.
 
 demos/05_water_network.py is left out: it solves the shipped network
-to the gap under two strategies and takes about two minutes.
+to the gap under two strategies and takes about 40 s.
 """
 
 import os

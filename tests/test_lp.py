@@ -82,6 +82,17 @@ def test_bound_only_minimization():
     assert sol.x == pytest.approx([5.0, -3.0])
 
 
+@pytest.mark.parametrize("senses", [[">="], [">=", "<=", "="]])
+def test_senses_must_match_rows(senses):
+    with pytest.raises(ValueError, match=f"{len(senses)} row senses for 2 rows"):
+        make_lp([1.0], [[1.0], [2.0]], senses, [1.0, 2.0], [0.0], [10.0])
+
+
+def test_unknown_sense_rejected():
+    with pytest.raises(ValueError, match="bad row sense '<'"):
+        lp_solve(make_lp([1.0], [[1.0]], ["<"], [1.0], [0.0], [10.0]))
+
+
 def test_objective_constant_carried():
     sol = lp_solve(make_lp([1.0], [[1.0]], [">="], [2.0], [0.0], [5.0],
                            obj_const=7.0))
@@ -253,6 +264,23 @@ def test_restricted_update_walks_the_full_row_update_path(monkeypatch):
         assert np.array_equal(sx.T, ref_sx.T)
         statuses.add(sol.status)
     assert "optimal" in statuses
+
+
+def test_start_basis_is_the_identity():
+    # the start rows are signed so that the starting basis is I, which
+    # makes T = A_full at the start and T[:, start_basis] Binv after
+    rng = np.random.default_rng(101)
+    lps = [_random_lp(rng) for _ in range(40)]
+    lps += (_shipped_network_lps(ApproxPolicy(method="quad"))
+            + _shipped_network_lps(ApproxPolicy(method="pwl", n_segments=21)))
+    assert len(lps) == 138
+    for lp in lps:
+        sx = _Simplex(lp)
+        assert np.array_equal(sx.A_full[:, sx.start_basis], np.eye(sx.m))
+        assert np.array_equal(sx.T, sx.A_full)
+        resid = np.abs(sx.A_full @ sx.x - sx.b_std)
+        assert np.all(resid <= 1e-12 * np.maximum(1.0, np.abs(sx.b_std)))
+        assert np.all((sx.lo <= sx.x) & (sx.x <= sx.hi))
 
 
 def test_refresh_pulls_drifted_basics_back():
