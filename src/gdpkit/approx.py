@@ -62,9 +62,9 @@ class PwlTable:
     def interpolate(self, x):
         return np.interp(x, self.breakpoints, self.values)
 
-    def max_grid_error(self, f: Callable, n_points: int = ERROR_GRID) -> float:
+    def max_grid_error(self, f: Callable) -> float:
         return _grid_errors(self.interpolate, f, self.breakpoints[0],
-                            self.breakpoints[-1], n_points)[0]
+                            self.breakpoints[-1])[0]
 
 
 @dataclass
@@ -78,8 +78,6 @@ class PwlEncoding:
     deltas: list[int]
     binaries: list[int]
     rows: list[Constraint]
-    x_var: int
-    out_var: int
 
 
 @dataclass
@@ -92,11 +90,11 @@ class ApproxPolicy:
             raise ValueError(f"unknown approximation method {self.method!r}")
 
 
-def _grid_errors(approx: Callable, f: Callable, lower: float, upper: float,
-                 n_points: int = ERROR_GRID) -> tuple[float, float]:
-    """Max and RMS of approx - f over n_points uniform points of
+def _grid_errors(approx: Callable, f: Callable, lower: float,
+                 upper: float) -> tuple[float, float]:
+    """Max and RMS of approx - f over ERROR_GRID uniform points of
     [lower, upper]."""
-    grid = np.linspace(lower, upper, n_points)
+    grid = np.linspace(lower, upper, ERROR_GRID)
     err = approx(grid) - f(grid)
     return float(np.max(np.abs(err))), float(np.sqrt(np.mean(err**2)))
 
@@ -193,8 +191,7 @@ def encode_pwl_incremental(table: PwlTable, x_var: int, out_var: int,
     rows.append(Constraint(out_row, SENSE_EQ, float(table.values[0]),
                            f"{prefix}.out"))
 
-    return PwlEncoding(deltas=deltas, binaries=binaries, rows=rows,
-                       x_var=x_var, out_var=out_var)
+    return PwlEncoding(deltas=deltas, binaries=binaries, rows=rows)
 
 
 def _clone(model: GdpModel) -> GdpModel:

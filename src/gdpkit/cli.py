@@ -102,7 +102,7 @@ def run_pipeline(args: argparse.Namespace) -> int:
             gdp = load_model(Path(args.model).read_text())
     except FileNotFoundError as exc:
         return _fail(f"cannot read {exc.filename!r}")
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         return _fail(str(exc))
 
     report_check = gdp.validate()

@@ -19,6 +19,8 @@ from .model import SENSE_GE, SENSE_LE, DomainError, Expression, term_interval
 from .lp import LinearProgram
 from .transforms import FlatModel
 
+N_TANGENTS = 3
+
 
 @dataclass
 class EnvelopeRow:
@@ -82,14 +84,15 @@ def _concave_parts(kind: str, exponent: float | None):
     raise ValueError(f"no concave envelope for term kind {kind!r}")
 
 
-def concave_envelope(kind: str, bounds, exponent: float | None = None,
-                     n_tangents: int = 3) -> EnvelopeRows:
+def concave_envelope(kind: str, bounds, exponent: float | None = None
+                     ) -> EnvelopeRows:
     """Secant below, tangents above, for concave f on [L, U].
 
     f lies above its chord and below every tangent, so
     secant(x) <= w <= tangent_i(x) is a valid enclosure of w = f(x).
-    Tangent points are uniform over the domain; a point where f' blows
-    up (x = 0 for powers) is nudged inward.
+    N_TANGENTS tangent points are uniform over the domain, ends
+    included; a point where f' blows up (x = 0 for powers) is nudged
+    inward.
     """
     lo, up = float(bounds[0]), float(bounds[1])
     if not up - lo > 1e-12:
@@ -98,18 +101,12 @@ def concave_envelope(kind: str, bounds, exponent: float | None = None,
         raise DomainError("log envelope needs a strictly positive lower bound")
     if kind == "pow" and lo < 0.0:
         raise DomainError("power envelope needs a nonnegative lower bound")
-    if n_tangents < 1:
-        raise ValueError("need at least one tangent")
 
     f, fprime = _concave_parts(kind, exponent)
     slope = (f(up) - f(lo)) / (up - lo)
     rows = [EnvelopeRow({"w": 1.0, "x": -slope}, SENSE_GE, f(lo) - slope * lo)]
 
-    if n_tangents == 1:
-        points = [0.5 * (lo + up)]
-    else:
-        points = list(np.linspace(lo, up, n_tangents))
-    for t in points:
+    for t in np.linspace(lo, up, N_TANGENTS):
         if kind == "pow" and t <= 0.0:
             t = lo + (up - lo) * 1e-6
         g = fprime(t)

@@ -2,8 +2,8 @@
 
 Disjunctions become indicator binaries with big-M relaxed rows, logic
 clauses become covering rows, and fix-to-zero lists become bound-times-
-binary rows. Every generated row keeps a provenance record naming its
-source.
+binary rows, none for a zero bound. Every generated row keeps a
+provenance record naming its source.
 """
 
 from __future__ import annotations
@@ -174,18 +174,19 @@ def bigm_transform(model: GdpModel) -> FlatModel:
                     )
             for vid in d.fix_to_zero:
                 var = model.variables[vid]
-                up = Expression().add_linear(1.0, vid).add_linear(-var.upper, y)
-                flat.add_constraint(
-                    Constraint(up, SENSE_LE, 0.0, f"fix[{var.name}:{d.guard}]:ub"),
-                    {"kind": "fix_to_zero", "guard": d.guard,
-                     "var": var.name, "side": "upper"},
-                )
-                dn = Expression().add_linear(1.0, vid).add_linear(-var.lower, y)
-                flat.add_constraint(
-                    Constraint(dn, SENSE_GE, 0.0, f"fix[{var.name}:{d.guard}]:lb"),
-                    {"kind": "fix_to_zero", "guard": d.guard,
-                     "var": var.name, "side": "lower"},
-                )
+                # x <= ub*y and x >= lb*y; a zero bound is the box itself
+                for bound, sense, side, tag in (
+                        (var.upper, SENSE_LE, "upper", "ub"),
+                        (var.lower, SENSE_GE, "lower", "lb")):
+                    if bound == 0.0:
+                        continue
+                    row = Expression().add_linear(1.0, vid).add_linear(-bound, y)
+                    flat.add_constraint(
+                        Constraint(row, sense, 0.0,
+                                   f"fix[{var.name}:{d.guard}]:{tag}"),
+                        {"kind": "fix_to_zero", "guard": d.guard,
+                         "var": var.name, "side": side},
+                    )
 
     for row, clause in zip(logic_to_linear(model.logic, flat.binary_of_guard),
                            range(len(model.logic))):

@@ -59,6 +59,12 @@ def parse_wtn_data(obj: dict) -> WtnData:
     """Validate a raw instance dict; raises ValueError naming the first
     offending field."""
 
+    def section(value, where):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be an object, "
+                             f"got {type(value).__name__}")
+        return value
+
     def need(mapping, key, where):
         if key not in mapping:
             raise ValueError(f"missing field {key!r} in {where}")
@@ -70,45 +76,48 @@ def parse_wtn_data(obj: dict) -> WtnData:
             raise ValueError(f"negative value {value} for {where}")
         return value
 
+    section(obj, "instance")
     contaminants = list(need(obj, "contaminants", "instance"))
     if not contaminants:
         raise ValueError("instance declares no contaminants")
 
     feed_flow: dict[str, float] = {}
     feed_conc: dict[str, dict[str, float]] = {}
-    for name, feed in need(obj, "feeds", "instance").items():
-        feed_flow[name] = nonneg(need(feed, "flow", f"feed {name!r}"),
-                                 f"feed {name!r} flow")
-        conc = need(feed, "conc", f"feed {name!r}")
+    for name, feed in section(need(obj, "feeds", "instance"), "feeds").items():
+        where = f"feed {name!r}"
+        section(feed, where)
+        feed_flow[name] = nonneg(need(feed, "flow", where), f"{where} flow")
+        conc = section(need(feed, "conc", where), f"{where} conc")
         feed_conc[name] = {
-            j: nonneg(need(conc, j, f"feed {name!r} conc"), f"conc[{j},{name}]")
+            j: nonneg(need(conc, j, f"{where} conc"), f"conc[{j},{name}]")
             for j in contaminants
         }
 
     units: dict[str, WtnUnit] = {}
-    for name, unit in need(obj, "units", "instance").items():
-        alpha_map = need(unit, "alpha", f"unit {name!r}")
+    for name, unit in section(need(obj, "units", "instance"), "units").items():
+        where = f"unit {name!r}"
+        section(unit, where)
+        alpha_map = section(need(unit, "alpha", where), f"{where} alpha")
         alpha = {}
         for j in contaminants:
-            a = float(need(alpha_map, j, f"unit {name!r} alpha"))
+            a = float(need(alpha_map, j, f"{where} alpha"))
             if not 0.0 <= a <= 1.0:
                 raise ValueError(f"alpha[{j},{name}] = {a} outside [0, 1]")
             alpha[j] = a
         units[name] = WtnUnit(
             alpha=alpha,
-            min_flow=nonneg(need(unit, "L", f"unit {name!r}"), f"L[{name}]"),
-            beta=nonneg(need(unit, "beta", f"unit {name!r}"), f"beta[{name}]"),
-            gamma=nonneg(need(unit, "gamma", f"unit {name!r}"), f"gamma[{name}]"),
-            theta=nonneg(need(unit, "theta", f"unit {name!r}"), f"theta[{name}]"),
+            min_flow=nonneg(need(unit, "L", where), f"L[{name}]"),
+            beta=nonneg(need(unit, "beta", where), f"beta[{name}]"),
+            gamma=nonneg(need(unit, "gamma", where), f"gamma[{name}]"),
+            theta=nonneg(need(unit, "theta", where), f"theta[{name}]"),
         )
     if not units:
         raise ValueError("instance declares no treatment units")
 
-    limits = {
-        j: nonneg(need(need(obj, "limits", "instance"), j, "limits"), f"limit[{j}]")
-        for j in contaminants
-    }
-    options = obj.get("options", {})
+    limits = section(need(obj, "limits", "instance"), "limits")
+    limits = {j: nonneg(need(limits, j, "limits"), f"limit[{j}]")
+              for j in contaminants}
+    options = section(obj.get("options", {}), "options")
     return WtnData(contaminants, feed_flow, feed_conc, units, limits,
                    self_recycle=bool(options.get("self_recycle", False)))
 
@@ -166,8 +175,13 @@ def build_wtn_gdp(data: WtnData) -> GdpModel:
 
     Topology: every feed reaches every unit and the discharge; every
     unit reaches every other unit (itself only with self_recycle) and
-    the discharge. Flow bounds are the total feed, concentration bounds
-    the worst feed, so relaxation boxes stay finite.
+    the discharge. Concentrations on a feed's outgoing arcs are fixed
+    at the feed's quality by their bounds; the others are bounded by
+    the worst feed. Every flow, unit inflow included, is bounded by the
+    total feed, so relaxation boxes stay finite. That bound excludes
+    designs whose inter-unit recycle pushes a unit's inflow above the
+    total feed (a generated 2-feed, 1-contaminant, 2-unit instance has
+    a feasible design with Fin = 30.8 against a total feed of 19.84).
     """
     model = GdpModel(sense="min")
     streams = WtnStreams()
@@ -190,8 +204,11 @@ def build_wtn_gdp(data: WtnData) -> GdpModel:
         streams.flow[a] = model.add_variable(f"F[{a[0]}->{a[1]}]", 0.0, ftot)
     for a in streams.arcs:
         for j in data.contaminants:
+            # a feed's outgoing arcs carry the feed's quality
+            feed = data.feed_conc.get(a[0])
+            lo, hi = (feed[j], feed[j]) if feed else (0.0, cmax[j])
             streams.conc[(j, *a)] = model.add_variable(
-                f"C[{j},{a[0]}->{a[1]}]", 0.0, cmax[j])
+                f"C[{j},{a[0]}->{a[1]}]", lo, hi)
     for t, unit in data.units.items():
         streams.unit_in_flow[t] = model.add_variable(f"Fin[{t}]", 0.0, ftot)
         streams.unit_out_flow[t] = model.add_variable(f"Fout[{t}]", 0.0, ftot)
@@ -205,18 +222,12 @@ def build_wtn_gdp(data: WtnData) -> GdpModel:
     for t in data.units:
         model.objective.add_linear(1.0, streams.cost[t])
 
-    # feed splitters: flows add up, every outgoing arc carries feed quality
+    # feed splitters: flows add up
     for f, flow in data.feed_flow.items():
         bal = Expression()
         for a in streams.out_of(f):
             bal.add_linear(1.0, streams.flow[a])
         model.add_global(Constraint(bal, SENSE_EQ, flow, f"feedbal[{f}]"))
-        for a in streams.out_of(f):
-            for j in data.contaminants:
-                row = Expression().add_linear(1.0, streams.conc[(j, *a)])
-                model.add_global(Constraint(
-                    row, SENSE_EQ, data.feed_conc[f][j],
-                    f"feedconc[{j},{a[0]}->{a[1]}]"))
 
     # discharge mass limits over every arc into the sink
     for j in data.contaminants:
@@ -279,18 +290,9 @@ def build_wtn_gdp(data: WtnData) -> GdpModel:
         zeroed += [streams.flow[a] for a in inlet]
         zeroed += [streams.flow[a] for a in outlet]
 
-        off_in = Expression()
-        for a in inlet:
-            off_in.add_linear(1.0, streams.flow[a])
-        off_cost = Expression().add_linear(1.0, streams.cost[t])
-        off_rows = [
-            Constraint(off_in, SENSE_EQ, 0.0, f"off_in[{t}]"),
-            Constraint(off_cost, SENSE_EQ, 0.0, f"off_cost[{t}]"),
-        ]
-
+        # the off alternative needs no rows: Y's fix list zeroes the unit
         model.add_disjunction(Disjunction(
-            [Disjunct(f"Y[{t}]", rows, zeroed),
-             Disjunct(f"N[{t}]", off_rows, [])],
+            [Disjunct(f"Y[{t}]", rows, zeroed), Disjunct(f"N[{t}]")],
             label=f"unit[{t}]"))
 
     model.streams = streams

@@ -58,11 +58,32 @@ def test_missing_file_is_usage_error(tmp_path):
     assert run(["--model", str(tmp_path / "nope.json")]) == 1
 
 
-def test_invalid_instance_is_usage_error(tmp_path):
+def _instance(**changes):
+    # a valid instance with one section replaced
+    obj = {"contaminants": ["A"],
+           "feeds": {"f": {"flow": 1.0, "conc": {"A": 1.0}}},
+           "units": {"u": {"alpha": {"A": 0.5}, "L": 0.0, "beta": 1.0,
+                           "gamma": 1.0, "theta": 1.0}},
+           "limits": {"A": 1.0}}
+    obj.update(changes)
+    return obj
+
+
+@pytest.mark.parametrize("flag, content", [
+    ("--wtn", _instance(units={})),
+    ("--wtn", _instance(feeds=[1, 2])),
+    ("--wtn", _instance(feeds={"f": 5})),
+    ("--wtn", _instance(options=[])),
+    ("--wtn", [1, 2]),
+    ("--model", [1, 2]),
+], ids=["no-units", "feeds-list", "feed-number", "options-list",
+        "instance-list", "model-list"])
+def test_invalid_instance_is_usage_error(tmp_path, capsys, flag, content):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"contaminants": ["A"], "feeds": {},
-                               "units": {}, "limits": {"A": 1.0}}))
-    assert run(["--wtn", str(bad)]) == 1
+    bad.write_text(json.dumps(content))
+    assert run([flag, str(bad)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("gdpkit: error:")
 
 
 def infeasible_model_file(tmp_path) -> Path:

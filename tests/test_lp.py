@@ -214,7 +214,7 @@ def test_tableau_matches_basis_solve_without_refactor(monkeypatch):
     rng = np.random.default_rng(101)
     network_root = _shipped_network_lps(
         ApproxPolicy(method="pwl", n_segments=21))[0]
-    assert network_root.A.shape == (292, 156)
+    assert network_root.A.shape == (256, 156)
     pivots = 0
     for lp in [_random_lp(rng) for _ in range(40)] + [network_root]:
         sx = _Simplex(lp)

@@ -76,7 +76,7 @@ def test_square_specialization_chord_and_tangents():
 
 
 def test_concave_envelope_power_sandwich():
-    env = concave_envelope("pow", (1.0, 2.0), exponent=0.7, n_tangents=3)
+    env = concave_envelope("pow", (1.0, 2.0), exponent=0.7)
     secant = env.rows[0]
     # chord at the midpoint: (1 + 2**0.7) / 2
     val = secant.rhs + 0.5 * (1.0 + 2.0**0.7) * 0  # rows are w-relative
@@ -88,7 +88,7 @@ def test_concave_envelope_power_sandwich():
 
 
 def test_concave_envelope_endpoints_tight():
-    env = concave_envelope("pow", (1.0, 2.0), exponent=0.7, n_tangents=3)
+    env = concave_envelope("pow", (1.0, 2.0), exponent=0.7)
     for x, f in ((1.0, 1.0), (2.0, 2.0**0.7)):
         lo, hi = admitted_w(env.rows, x, 0.0)
         assert lo == pytest.approx(f, abs=1e-12)
@@ -96,7 +96,7 @@ def test_concave_envelope_endpoints_tight():
 
 
 def test_log_tangent_at_one():
-    env = concave_envelope("log", (1.0, math.e), n_tangents=3)
+    env = concave_envelope("log", (1.0, math.e))
     tangent_at_lo = env.rows[1]
     assert tangent_at_lo.sense == "<="
     assert tangent_at_lo.coefs["x"] == pytest.approx(-1.0)
@@ -130,8 +130,7 @@ def test_envelope_soundness_random_sample():
         up = lo + rng.uniform(1e-2, 4.0)
         kind = "pow" if rng.random() < 0.5 else "log"
         expo = float(rng.uniform(0.1, 0.9)) if kind == "pow" else None
-        env = concave_envelope(kind, (lo, up), exponent=expo,
-                               n_tangents=int(rng.integers(1, 5)))
+        env = concave_envelope(kind, (lo, up), exponent=expo)
         f = (lambda v: v**expo) if kind == "pow" else math.log
         for x in rng.uniform(lo, up, 25):
             for row in env.rows:

@@ -80,10 +80,8 @@ def test_bigm_transform_two_disjunct_rows():
     up = by_label["fix[x:on]:ub"]
     assert up.sense == "<=" and up.rhs == 0.0
     assert sorted(up.body.linear) == sorted([(1.0, x), (-10.0, y_on)])
-    # lower bound is 0, so the x >= lb*y row collapses to x >= 0
-    dn = by_label["fix[x:on]:lb"]
-    assert dn.sense == ">=" and dn.rhs == 0.0
-    assert dn.body.linear == [(1.0, x)]
+    # lower bound is 0, so x >= lb*y would only restate x >= 0: no row
+    assert "fix[x:on]:lb" not in by_label
 
 
 def test_bigm_activation_recovers_original_rows():
@@ -180,10 +178,10 @@ def test_provenance_complete_and_serializable():
     assert json.loads(json.dumps(flat.provenance)) == flat.provenance
 
 
-def gdp_for_equivalence(seed: int) -> GdpModel:
+def gdp_for_equivalence(seed: int, x_lower: float) -> GdpModel:
     rng = np.random.default_rng(seed)
     m = GdpModel()
-    x = m.add_variable("x", 0.0, 2.0)
+    x = m.add_variable("x", x_lower, 2.0)
     y = m.add_variable("y", 0.0, 2.0)
     m.objective.add_linear(1.0, x).add_linear(1.0, y)
     cap = float(rng.uniform(0.5, 2.5))
@@ -245,25 +243,30 @@ def _is_feasible(flat: FlatModel) -> bool:
 
 @pytest.mark.parametrize("seed", [1, 2, 5])
 def test_transform_preserves_assignment_feasibility(seed):
-    m = gdp_for_equivalence(seed)
-    guards = m.guard_names()
-    flat = bigm_transform(m)
+    # x's lower bound 0 writes no fix[x:B]:lb row, -0.5 keeps it
+    for x_lower in (0.0, -0.5):
+        m = gdp_for_equivalence(seed, x_lower)
+        guards = m.guard_names()
+        flat = bigm_transform(m)
+        labels = {c.label for c in flat.constraints}
+        assert ("fix[x:B]:lb" in labels) == (x_lower != 0.0)
 
-    for bits in itertools.product([False, True], repeat=len(guards)):
-        assignment = dict(zip(guards, bits))
-        before = _boolean_structure_ok(m, assignment) and _is_feasible(
-            _direct_assignment_model(m, assignment))
+        for bits in itertools.product([False, True], repeat=len(guards)):
+            assignment = dict(zip(guards, bits))
+            before = _boolean_structure_ok(m, assignment) and _is_feasible(
+                _direct_assignment_model(m, assignment))
 
-        fixed = FlatModel(sense=flat.sense,
-                          objective=Expression(),
-                          binary_of_guard=flat.binary_of_guard)
-        for v in flat.variables:
-            fixed.add_variable(v.name, v.lower, v.upper, v.kind)
-        for c, p in zip(flat.constraints, flat.provenance):
-            fixed.add_constraint(Constraint(c.body.copy(), c.sense, c.rhs,
-                                            c.label), p)
-        for guard, vid in flat.binary_of_guard.items():
-            val = 1.0 if assignment[guard] else 0.0
-            fixed.variables[vid].lower = fixed.variables[vid].upper = val
-        after = _is_feasible(fixed)
-        assert before == after, f"assignment {assignment} disagrees"
+            fixed = FlatModel(sense=flat.sense,
+                              objective=Expression(),
+                              binary_of_guard=flat.binary_of_guard)
+            for v in flat.variables:
+                fixed.add_variable(v.name, v.lower, v.upper, v.kind)
+            for c, p in zip(flat.constraints, flat.provenance):
+                fixed.add_constraint(Constraint(c.body.copy(), c.sense, c.rhs,
+                                                c.label), p)
+            for guard, vid in flat.binary_of_guard.items():
+                val = 1.0 if assignment[guard] else 0.0
+                fixed.variables[vid].lower = fixed.variables[vid].upper = val
+            after = _is_feasible(fixed)
+            assert before == after, (f"assignment {assignment} at x lower "
+                                     f"{x_lower} disagrees")

@@ -170,3 +170,39 @@ def test_check_solution_flags_phantom_flow():
     report = check_solution(data, streams, point,
                             active={"u1": False, "u2": False})
     assert report["inactive_residual"] >= 3.0
+
+
+def test_bounds_are_stated_once():
+    data = parse_wtn_data(synthetic_instance())
+    model = build_wtn_gdp(data)
+    streams = model.streams
+    # feed qualities are bounds of the feed-arc concentrations, not rows
+    for f, conc in data.feed_conc.items():
+        for a in streams.out_of(f):
+            for j in data.contaminants:
+                var = model.variables[streams.conc[(j, *a)]]
+                assert var.lower == var.upper == conc[j]
+    assert not [c for c in model.globals if c.label.startswith("feedconc[")]
+    # the off alternative is empty: Y[t]'s fix list already zeroes the unit
+    for dj in model.disjunctions:
+        off = dj.disjuncts[1]
+        assert off.guard.startswith("N[")
+        assert off.constraints == [] and off.fix_to_zero == []
+    # every fixed variable has lower bound 0, so only its :ub row is written
+    flat = bigm_transform(model)
+    assert len(flat.constraints) == 72
+    assert not [c for c in flat.constraints if c.label.endswith(":lb")
+                and c.label.startswith("fix[")]
+
+
+@pytest.mark.parametrize("method, segments, objective", [
+    ("quad", 101, 90.56532),
+    ("pwl", 21, 90.37302),
+])
+def test_shipped_network_optimum(method, segments, objective):
+    model = build_wtn_gdp(parse_wtn_data(synthetic_instance()))
+    approxed, _ = apply_approximation(
+        model, ApproxPolicy(method=method, n_segments=segments))
+    res = solve_global(bigm_transform(approxed), gap=1e-4, time_limit=300)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(objective, rel=1e-4)
