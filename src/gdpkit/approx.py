@@ -228,13 +228,9 @@ def apply_approximation(model: GdpModel, policy: ApproxPolicy):
 
     # materialized up front: processing appends rows to the model
     for expr, site, owner in list(_approx_sites(out)):
-        if not (expr.powers or expr.logs):
-            continue
-        terms = [("pow", c, v, p) for c, v, p in expr.powers]
-        terms += [("log", c, v, None) for c, v in expr.logs]
-        expr.powers = []
-        expr.logs = []
-        for kind, coef, vid, exponent in terms:
+        concave = [t for t in expr.terms if t[0] != "bil"]
+        expr.terms = [t for t in expr.terms if t[0] == "bil"]
+        for kind, coef, vid, exponent in concave:
             var = out.variables[vid]
             if not (math.isfinite(var.lower) and math.isfinite(var.upper)):
                 raise ValueError(f"cannot approximate over unbounded variable "

@@ -14,7 +14,7 @@ import heapq
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -183,11 +183,7 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
     maximize = flat.sense == "max"
     work = flat
     if maximize:
-        work = FlatModel(sense="min", variables=flat.variables,
-                         objective=_negated(flat.objective),
-                         constraints=flat.constraints,
-                         provenance=flat.provenance,
-                         binary_of_guard=flat.binary_of_guard)
+        work = replace(flat, sense="min", objective=_negated(flat.objective))
 
     n_model = len(work.variables)
     lo0 = np.array([v.lower for v in work.variables])

@@ -113,7 +113,7 @@ def run_pipeline(args: argparse.Namespace) -> int:
     approx_report: list[dict] = []
     if args.approx == "none":
         exprs = [original_flat.objective] + [c.body for c in original_flat.constraints]
-        if any(e.powers or e.logs for e in exprs):
+        if any(kind != "bil" for e in exprs for kind, *_ in e.terms):
             return _fail("model still carries power/log terms; pick "
                          "--approx quad or --approx pwl")
         flat = original_flat

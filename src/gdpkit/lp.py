@@ -92,22 +92,18 @@ class _Simplex:
         A /= scale[:, None]
         b /= scale
 
-        # a slack never exceeds b minus the row's least value over the box
+        # start: structurals at lower bound. Each row is one of two kinds:
+        # its slack basic where the residual is nonnegative, or an
+        # artificial basic. A slack's bound is b minus the row's least
+        # value over the box, or its start value where rounding puts
+        # that higher.
+        resid = b - A @ lp.lo
         row_min = (np.where(A > 0, A, 0.0) @ lp.lo
                    + np.where(A < 0, A, 0.0) @ lp.hi)
-        slack_up = np.maximum(0.0, b - row_min)
-
-        # start: structurals at lower bound. Each row is one of three
-        # kinds: its slack basic where the residual fits; its slack
-        # parked at the bound nearer the residual plus an artificial; an
-        # equality plus an artificial.
-        resid = b - A @ lp.lo
+        slack_up = np.maximum(np.maximum(0.0, b - row_min), resid)
         ineq = ~self.eq
-        slack_basic = ineq & (resid >= 0.0) & (resid <= slack_up)
-        art = ~slack_basic
-        parked = np.where(ineq & art & (resid >= 0.0), slack_up, 0.0)
-        art_resid = resid - parked
-        negative = art & (art_resid < 0.0)
+        art = self.eq | (resid < 0.0)
+        negative = resid < 0.0
 
         self.first_art = n + int(ineq.sum())
         k = self.first_art + int(art.sum())
@@ -115,7 +111,7 @@ class _Simplex:
         slack_col[ineq] = np.arange(n, self.first_art)
         basis = slack_col.copy()
         basis[art] = np.arange(self.first_art, k)
-        beta = np.where(art, np.abs(art_resid), resid)
+        beta = np.abs(resid)
 
         # rows whose artificial starts from a negative residual are
         # negated, so the starting basis is the identity
@@ -139,10 +135,6 @@ class _Simplex:
         self.x = np.zeros(k)
         self.x[:n] = lp.lo
         self.where = np.full(k, AT_LOWER, dtype=np.int8)
-        # a nonbasic slack sits at whichever bound absorbed most
-        upper = parked > 0.0
-        self.x[slack_col[upper]] = parked[upper]
-        self.where[slack_col[upper]] = AT_UPPER
         self.basis = basis
         self.where[basis] = IN_BASIS
         self.x[basis] = beta

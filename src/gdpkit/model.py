@@ -1,8 +1,8 @@
 """Algebraic core: bounded variables, expressions, disjunctive models.
 
-Expressions admit exactly four nonlinearity kinds: bilinear products,
-concave powers x**p with 0 < p < 1, and natural logs, on top of an
-affine part. Anything else is rejected at validation time.
+Expressions admit exactly three nonlinearity kinds, on top of an affine
+part: bilinear products, concave powers x**p with 0 < p < 1, and
+natural logs. Anything else is rejected at validation time.
 
 Models are treated as immutable once validated; all downstream passes
 build fresh objects.
@@ -38,21 +38,26 @@ class Variable:
 
 
 class Expression:
-    """constant + sum of linear, bilinear, power and log terms.
+    """constant + sum of linear terms and nonlinear terms.
 
-    Bilinear factor pairs are stored with the lower variable id first, so
-    structurally equal expressions compare equal regardless of the order
-    the caller supplied the factors in.
+    Linear terms are (coef, var) pairs. Nonlinear terms are
+    (kind, coef, var, arg) tuples kept in insertion order:
+
+    - ("bil", c, i, j): c * x_i * x_j, stored with i <= j, so structurally
+      equal expressions compare equal regardless of the order the caller
+      supplied the factors in;
+    - ("pow", c, v, p): c * x_v**p with 0 < p < 1;
+    - ("log", c, v, None): c * ln(x_v).
+
+    term_value and term_interval give each kind's value and range.
     """
 
-    __slots__ = ("constant", "linear", "bilinear", "powers", "logs")
+    __slots__ = ("constant", "linear", "terms")
 
     def __init__(self, constant: float = 0.0):
         self.constant = float(constant)
         self.linear: list[tuple[float, int]] = []
-        self.bilinear: list[tuple[float, int, int]] = []
-        self.powers: list[tuple[float, int, float]] = []
-        self.logs: list[tuple[float, int]] = []
+        self.terms: list[tuple[str, float, int, int | float | None]] = []
 
     def add_linear(self, coef: float, var: int) -> "Expression":
         if coef != 0.0:
@@ -62,40 +67,36 @@ class Expression:
     def add_bilinear(self, coef: float, var_a: int, var_b: int) -> "Expression":
         if coef != 0.0:
             i, j = (var_a, var_b) if var_a <= var_b else (var_b, var_a)
-            self.bilinear.append((float(coef), int(i), int(j)))
+            self.terms.append(("bil", float(coef), int(i), int(j)))
         return self
 
     def add_power(self, coef: float, var: int, exponent: float) -> "Expression":
         if not 0.0 < exponent < 1.0:
             raise ValueError(f"power exponent must lie in (0, 1), got {exponent}")
         if coef != 0.0:
-            self.powers.append((float(coef), int(var), float(exponent)))
+            self.terms.append(("pow", float(coef), int(var), float(exponent)))
         return self
 
     def add_log(self, coef: float, var: int) -> "Expression":
         if coef != 0.0:
-            self.logs.append((float(coef), int(var)))
+            self.terms.append(("log", float(coef), int(var), None))
         return self
 
     def is_linear(self) -> bool:
-        return not (self.bilinear or self.powers or self.logs)
+        return not self.terms
 
     def variables(self) -> set[int]:
         out = {v for _, v in self.linear}
-        for _, i, j in self.bilinear:
-            out.add(i)
-            out.add(j)
-        for _, v, _ in self.powers:
+        for kind, _, v, arg in self.terms:
             out.add(v)
-        out.update(v for _, v in self.logs)
+            if kind == "bil":
+                out.add(arg)
         return out
 
     def copy(self) -> "Expression":
         e = Expression(self.constant)
         e.linear = list(self.linear)
-        e.bilinear = list(self.bilinear)
-        e.powers = list(self.powers)
-        e.logs = list(self.logs)
+        e.terms = list(self.terms)
         return e
 
     def evaluate(self, point) -> float:
@@ -103,26 +104,20 @@ class Expression:
         val = self.constant
         for c, v in self.linear:
             val += c * point[v]
-        for c, i, j in self.bilinear:
-            val += c * point[i] * point[j]
-        for c, v, p in self.powers:
-            x = point[v]
-            if x < 0.0:
-                raise DomainError(f"power term evaluated at negative value {x}")
-            val += c * x**p
-        for c, v in self.logs:
-            x = point[v]
-            if x <= 0.0:
-                raise DomainError(f"log term evaluated at non-positive value {x}")
-            val += c * math.log(x)
+        for kind, c, v, arg in self.terms:
+            val += c * term_value(kind, point, v, arg)
         return val
 
     def __repr__(self) -> str:
         parts = [f"{self.constant:g}"] if self.constant else []
         parts += [f"{c:+g}*x{v}" for c, v in self.linear]
-        parts += [f"{c:+g}*x{i}*x{j}" for c, i, j in self.bilinear]
-        parts += [f"{c:+g}*x{v}^{p:g}" for c, v, p in self.powers]
-        parts += [f"{c:+g}*ln(x{v})" for c, v in self.logs]
+        for kind, c, v, arg in self.terms:
+            if kind == "bil":
+                parts.append(f"{c:+g}*x{v}*x{arg}")
+            elif kind == "pow":
+                parts.append(f"{c:+g}*x{v}^{arg:g}")
+            else:
+                parts.append(f"{c:+g}*ln(x{v})")
         return "Expr(" + (" ".join(parts) or "0") + ")"
 
 
@@ -250,20 +245,21 @@ class GdpModel:
             if v.kind == BINARY and not (0.0 <= v.lower and v.upper <= 1.0):
                 add(f"binary bounds: {v.name!r} bounds not within [0, 1]")
 
+        lo, hi = self.bounds_arrays()
+
         def check_expr(expr: Expression, where: str):
-            for vid in expr.variables():
-                if not 0 <= vid < n:
-                    add(f"unknown variable: id {vid} referenced by {where}")
-            for _, vid, p in expr.powers:
-                if not 0.0 < p < 1.0:
-                    add(f"power exponent: {p} outside (0, 1) in {where}")
-                if 0 <= vid < n and self.variables[vid].lower < 0.0:
-                    add(f"power domain: {self.variables[vid].name!r} admits "
-                        f"negative values in {where}")
-            for _, vid in expr.logs:
-                if 0 <= vid < n and self.variables[vid].lower <= 0.0:
-                    add(f"log domain: {self.variables[vid].name!r} lower bound "
-                        f"must be > 0 in {where}")
+            unknown = [vid for vid in expr.variables() if not 0 <= vid < n]
+            for vid in unknown:
+                add(f"unknown variable: id {vid} referenced by {where}")
+            for kind, _, vid, arg in expr.terms:
+                if kind == "pow" and not 0.0 < arg < 1.0:
+                    add(f"power exponent: {arg} outside (0, 1) in {where}")
+                elif not unknown:
+                    try:
+                        term_interval(kind, lo, hi, vid, arg)
+                    except DomainError as exc:
+                        add(f"{kind} domain: {self.variables[vid].name!r}: "
+                            f"{exc} in {where}")
 
         check_expr(self.objective, "objective")
         for c in self.globals:
@@ -302,27 +298,45 @@ class GdpModel:
         return report
 
 
-# -- interval arithmetic ----------------------------------------------
+# -- term values and ranges -------------------------------------------
 
 
-def term_interval(kind: str, lo, hi, var: int, other: int | None = None,
-                  exponent: float | None = None) -> tuple[float, float]:
-    """Exact range over a box of one term: "bil" var*other, "pow"
-    var**exponent or "log" log(var).
+def term_value(kind: str, point, var: int, arg) -> float:
+    """Exact value at a point of one term: "bil" var*arg, "pow" var**arg
+    or "log" log(var).
+
+    point is indexable by variable id. Raises DomainError if a log term
+    is evaluated at a value <= 0 or a power term at a negative value.
+    """
+    x = point[var]
+    if kind == "bil":
+        return x * point[arg]
+    if kind == "pow":
+        if x < 0.0:
+            raise DomainError(f"power term evaluated at negative value {x}")
+        return x**arg
+    if x <= 0.0:
+        raise DomainError(f"log term evaluated at non-positive value {x}")
+    return math.log(x)
+
+
+def term_interval(kind: str, lo, hi, var: int, arg) -> tuple[float, float]:
+    """Exact range over a box of one term: "bil" var*arg, "pow" var**arg
+    or "log" log(var).
 
     lo/hi are indexable by variable id. Raises DomainError if a log
     term's box reaches values <= 0 or a power term's box reaches
     negative values.
     """
     if kind == "bil":
-        corners = (lo[var] * lo[other], lo[var] * hi[other],
-                   hi[var] * lo[other], hi[var] * hi[other])
+        corners = (lo[var] * lo[arg], lo[var] * hi[arg],
+                   hi[var] * lo[arg], hi[var] * hi[arg])
         return min(corners), max(corners)
     if kind == "pow":
         if lo[var] < 0.0:
             raise DomainError(f"power term over box reaching negative values "
                               f"(var id {var}, lower {lo[var]})")
-        return lo[var] ** exponent, hi[var] ** exponent
+        return lo[var] ** arg, hi[var] ** arg
     if lo[var] <= 0.0:
         raise DomainError(f"log term over box reaching values <= 0 "
                           f"(var id {var}, lower {lo[var]})")
@@ -330,12 +344,12 @@ def term_interval(kind: str, lo, hi, var: int, other: int | None = None,
 
 
 def interval_eval(expr: Expression, lo, hi) -> tuple[float, float]:
-    """Sound enclosure of an expression's range over a box.
+    """Sound enclosure of an expression's range over a box: the sum of
+    each term's exact range (term_interval) times its coefficient.
 
-    lo/hi are indexable by variable id. Bilinear terms use the exact
-    four-corner product interval; powers and logs use monotonicity.
-    Raises DomainError if a log term's box reaches values <= 0 or a
-    power term's box reaches negative values.
+    lo/hi are indexable by variable id. Raises DomainError if a log
+    term's box reaches values <= 0 or a power term's box reaches
+    negative values.
     """
     out_lo = expr.constant
     out_hi = expr.constant
@@ -343,18 +357,8 @@ def interval_eval(expr: Expression, lo, hi) -> tuple[float, float]:
         a, b = c * lo[v], c * hi[v]
         out_lo += min(a, b)
         out_hi += max(a, b)
-    for c, i, j in expr.bilinear:
-        tlo, thi = term_interval("bil", lo, hi, i, j)
-        a, b = c * tlo, c * thi
-        out_lo += min(a, b)
-        out_hi += max(a, b)
-    for c, v, p in expr.powers:
-        tlo, thi = term_interval("pow", lo, hi, v, exponent=p)
-        a, b = c * tlo, c * thi
-        out_lo += min(a, b)
-        out_hi += max(a, b)
-    for c, v in expr.logs:
-        tlo, thi = term_interval("log", lo, hi, v)
+    for kind, c, v, arg in expr.terms:
+        tlo, thi = term_interval(kind, lo, hi, v, arg)
         a, b = c * tlo, c * thi
         out_lo += min(a, b)
         out_hi += max(a, b)
@@ -370,15 +374,16 @@ def interval_eval(expr: Expression, lo, hi) -> tuple[float, float]:
 
 
 def expr_to_json(expr: Expression) -> dict:
-    terms: list[dict] = []
-    for c, v in expr.linear:
-        terms.append({"kind": "lin", "coef": c, "var": v})
-    for c, i, j in expr.bilinear:
-        terms.append({"kind": "bil", "coef": c, "vars": [i, j]})
-    for c, v, p in expr.powers:
-        terms.append({"kind": "pow", "coef": c, "var": v, "exponent": p})
-    for c, v in expr.logs:
-        terms.append({"kind": "log", "coef": c, "var": v})
+    terms = [{"kind": "lin", "coef": c, "var": v} for c, v in expr.linear]
+    for kind, c, v, arg in expr.terms:
+        term = {"kind": kind, "coef": c}
+        if kind == "bil":
+            term["vars"] = [v, arg]
+        else:
+            term["var"] = v
+        if kind == "pow":
+            term["exponent"] = arg
+        terms.append(term)
     return {"constant": expr.constant, "terms": terms}
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SENSE_GE, SENSE_LE, DomainError, Expression, term_interval
+from .model import (SENSE_GE, SENSE_LE, DomainError, Expression,
+                    term_interval, term_value)
 from .lp import LinearProgram
 from .transforms import FlatModel
 
@@ -119,53 +120,39 @@ def concave_envelope(kind: str, bounds, exponent: float | None = None
 
 @dataclass
 class AuxTerm:
-    """One relaxed nonlinear term and the LP column standing in for it."""
+    """One relaxed nonlinear term (kind, var, arg), as in
+    Expression.terms, and the LP column standing in for it."""
 
     col: int
     kind: str
-    var_a: int
-    var_b: int | None = None
-    exponent: float | None = None
+    var: int
+    arg: int | float | None
 
     def true_value(self, x) -> float:
-        if self.kind == "bil":
-            return x[self.var_a] * x[self.var_b]
-        if self.kind == "pow":
-            return x[self.var_a] ** self.exponent
-        return math.log(x[self.var_a])
+        return term_value(self.kind, x, self.var, self.arg)
 
     def participants(self) -> tuple[int, ...]:
-        if self.kind == "bil" and self.var_a != self.var_b:
-            return (self.var_a, self.var_b)
-        return (self.var_a,)
-
-
-def _term_keys(expr: Expression):
-    for _, i, j in expr.bilinear:
-        yield ("bil", i, j)
-    for _, v, p in expr.powers:
-        yield ("pow", v, p)
-    for _, v in expr.logs:
-        yield ("log", v, None)
+        if self.kind == "bil" and self.var != self.arg:
+            return (self.var, self.arg)
+        return (self.var,)
 
 
 def build_lp_relaxation(flat: FlatModel, lo, hi) -> LinearProgram:
     """Assemble the LP relaxation of a flattened model over a box.
 
-    Distinct nonlinear terms share one auxiliary column each; the map
-    from columns back to terms rides along as lp.aux_terms so callers
-    can measure envelope violations at the LP point.
+    Distinct nonlinear terms share one auxiliary column each, in order
+    of first appearance; the map from columns back to terms rides along
+    as lp.aux_terms so callers can measure envelope violations at the LP
+    point.
     """
     n0 = len(flat.variables)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
 
     order: dict[tuple, int] = {}
-    for key in _term_keys(flat.objective):
-        order.setdefault(key, n0 + len(order))
-    for c in flat.constraints:
-        for key in _term_keys(c.body):
-            order.setdefault(key, n0 + len(order))
+    for expr in [flat.objective] + [c.body for c in flat.constraints]:
+        for kind, _, v, arg in expr.terms:
+            order.setdefault((kind, v, arg), n0 + len(order))
     n_aux = len(order)
     n = n0 + n_aux
 
@@ -174,43 +161,30 @@ def build_lp_relaxation(flat: FlatModel, lo, hi) -> LinearProgram:
     aux_hi = np.empty(n_aux)
     env_rows: list[tuple[np.ndarray, str, float]] = []
 
-    for key, col in order.items():
-        kind = key[0]
+    for (kind, v, arg), col in order.items():
+        aux_terms.append(AuxTerm(col, kind, v, arg))
+        aux_lo[col - n0], aux_hi[col - n0] = term_interval(kind, lo, hi, v, arg)
         if kind == "bil":
-            _, i, j = key
-            aux_terms.append(AuxTerm(col, "bil", i, j))
-            aux_lo[col - n0], aux_hi[col - n0] = term_interval(
-                "bil", lo, hi, i, j)
-            env = mccormick_bilinear((lo[i], hi[i]), (lo[j], hi[j]),
-                                     square=(i == j))
-            symbol_cols = {"w": col, "x": i, "y": j}
-        else:
-            _, v, p = key
-            aux_terms.append(AuxTerm(col, kind, v, exponent=p))
-            aux_lo[col - n0], aux_hi[col - n0] = term_interval(
-                kind, lo, hi, v, exponent=p)
-            if hi[v] - lo[v] > 1e-12:
-                env = concave_envelope(kind, (lo[v], hi[v]), exponent=p)
-            else:
-                env = None
+            env = mccormick_bilinear((lo[v], hi[v]), (lo[arg], hi[arg]),
+                                     square=(v == arg))
+            symbol_cols = {"w": col, "x": v, "y": arg}
+        elif hi[v] - lo[v] > 1e-12:
+            env = concave_envelope(kind, (lo[v], hi[v]), exponent=arg)
             symbol_cols = {"w": col, "x": v}
-        if env is not None:
-            for row in env.rows:
-                coefs = np.zeros(n)
-                for sym, cf in row.coefs.items():
-                    coefs[symbol_cols[sym]] += cf
-                env_rows.append((coefs, row.sense, row.rhs))
+        else:
+            continue  # a degenerate box: the aux bounds pin the value
+        for row in env.rows:
+            coefs = np.zeros(n)
+            for sym, cf in row.coefs.items():
+                coefs[symbol_cols[sym]] += cf
+            env_rows.append((coefs, row.sense, row.rhs))
 
     def linearize(expr: Expression) -> np.ndarray:
         coefs = np.zeros(n)
         for cf, v in expr.linear:
             coefs[v] += cf
-        for cf, i, j in expr.bilinear:
-            coefs[order[("bil", i, j)]] += cf
-        for cf, v, p in expr.powers:
-            coefs[order[("pow", v, p)]] += cf
-        for cf, v in expr.logs:
-            coefs[order[("log", v, None)]] += cf
+        for kind, cf, v, arg in expr.terms:
+            coefs[order[(kind, v, arg)]] += cf
         return coefs
 
     rows = []

@@ -71,9 +71,7 @@ class FlatModel:
 def _negated(expr: Expression) -> Expression:
     out = Expression(-expr.constant)
     out.linear = [(-c, v) for c, v in expr.linear]
-    out.bilinear = [(-c, i, j) for c, i, j in expr.bilinear]
-    out.powers = [(-c, v, p) for c, v, p in expr.powers]
-    out.logs = [(-c, v) for c, v in expr.logs]
+    out.terms = [(kind, -c, v, arg) for kind, c, v, arg in expr.terms]
     return out
 
 

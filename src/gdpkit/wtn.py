@@ -11,6 +11,7 @@ treatment cost.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,14 +71,25 @@ def parse_wtn_data(obj: dict) -> WtnData:
             raise ValueError(f"missing field {key!r} in {where}")
         return mapping[key]
 
-    def nonneg(value, where):
+    def number(value, where, upper=math.inf):
+        # bool is an int subclass, but true is not a number in JSON
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{where} must be a number, got {value!r}")
         value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value} for {where}")
         if value < 0.0:
             raise ValueError(f"negative value {value} for {where}")
+        if value > upper:
+            raise ValueError(f"{where} = {value} outside [0, {upper:g}]")
         return value
 
     section(obj, "instance")
-    contaminants = list(need(obj, "contaminants", "instance"))
+    contaminants = need(obj, "contaminants", "instance")
+    if not (isinstance(contaminants, list)
+            and all(isinstance(j, str) for j in contaminants)):
+        raise ValueError(f"contaminants must be a list of names, "
+                         f"got {contaminants!r}")
     if not contaminants:
         raise ValueError("instance declares no contaminants")
 
@@ -86,10 +98,10 @@ def parse_wtn_data(obj: dict) -> WtnData:
     for name, feed in section(need(obj, "feeds", "instance"), "feeds").items():
         where = f"feed {name!r}"
         section(feed, where)
-        feed_flow[name] = nonneg(need(feed, "flow", where), f"{where} flow")
+        feed_flow[name] = number(need(feed, "flow", where), f"{where} flow")
         conc = section(need(feed, "conc", where), f"{where} conc")
         feed_conc[name] = {
-            j: nonneg(need(conc, j, f"{where} conc"), f"conc[{j},{name}]")
+            j: number(need(conc, j, f"{where} conc"), f"conc[{j},{name}]")
             for j in contaminants
         }
 
@@ -98,24 +110,20 @@ def parse_wtn_data(obj: dict) -> WtnData:
         where = f"unit {name!r}"
         section(unit, where)
         alpha_map = section(need(unit, "alpha", where), f"{where} alpha")
-        alpha = {}
-        for j in contaminants:
-            a = float(need(alpha_map, j, f"{where} alpha"))
-            if not 0.0 <= a <= 1.0:
-                raise ValueError(f"alpha[{j},{name}] = {a} outside [0, 1]")
-            alpha[j] = a
         units[name] = WtnUnit(
-            alpha=alpha,
-            min_flow=nonneg(need(unit, "L", where), f"L[{name}]"),
-            beta=nonneg(need(unit, "beta", where), f"beta[{name}]"),
-            gamma=nonneg(need(unit, "gamma", where), f"gamma[{name}]"),
-            theta=nonneg(need(unit, "theta", where), f"theta[{name}]"),
+            alpha={j: number(need(alpha_map, j, f"{where} alpha"),
+                             f"alpha[{j},{name}]", upper=1.0)
+                   for j in contaminants},
+            min_flow=number(need(unit, "L", where), f"L[{name}]"),
+            beta=number(need(unit, "beta", where), f"beta[{name}]"),
+            gamma=number(need(unit, "gamma", where), f"gamma[{name}]"),
+            theta=number(need(unit, "theta", where), f"theta[{name}]"),
         )
     if not units:
         raise ValueError("instance declares no treatment units")
 
     limits = section(need(obj, "limits", "instance"), "limits")
-    limits = {j: nonneg(need(limits, j, "limits"), f"limit[{j}]")
+    limits = {j: number(need(limits, j, "limits"), f"limit[{j}]")
               for j in contaminants}
     options = section(obj.get("options", {}), "options")
     return WtnData(contaminants, feed_flow, feed_conc, units, limits,

@@ -230,8 +230,7 @@ def test_apply_quad_keeps_model_size():
     assert len(out.variables) == len(m.variables)
     assert len(report) == 1 and report[0]["policy"] == "quad"
     row = out.disjunctions[0].disjuncts[0].constraints[0]
-    assert row.body.powers == []
-    assert len(row.body.bilinear) == 1
+    assert [t[0] for t in row.body.terms] == ["bil"]
     # untouched parts stay term-for-term identical
     assert row.body.linear[0] == (1.0, m.var_id("cost"))
     assert out.globals[0].body.linear == m.globals[0].body.linear
@@ -259,7 +258,7 @@ def test_apply_pwl_objective_terms_become_globals():
     m.objective.add_log(2.0, x)
     out, report = apply_approximation(m, ApproxPolicy(method="pwl",
                                                       n_segments=5))
-    assert out.objective.logs == []
+    assert out.objective.terms == []
     assert len(out.objective.linear) == 1
     assert len(out.globals) == 2 * 4 + 2
 

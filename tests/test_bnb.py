@@ -37,7 +37,7 @@ def grid_oracle(flat, resolution=201):
         vals = np.full(pts.shape[1], expr.constant)
         for coef, v in expr.linear:
             vals += coef * pts[v]
-        for coef, i, j in expr.bilinear:
+        for _, coef, i, j in expr.terms:
             vals += coef * pts[i] * pts[j]
         return vals
 
@@ -297,7 +297,7 @@ def milp_grid_oracle(flat, resolution):
             vals = np.full(npts, expr.constant)
             for coef, v in expr.linear:
                 vals += coef * pts[v]
-            for coef, i, j in expr.bilinear:
+            for _, coef, i, j in expr.terms:
                 vals += coef * pts[i] * pts[j]
             return vals
 

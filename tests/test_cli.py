@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -58,32 +59,52 @@ def test_missing_file_is_usage_error(tmp_path):
     assert run(["--model", str(tmp_path / "nope.json")]) == 1
 
 
+def _unit(**changes):
+    # a valid unit 'u' with some fields replaced
+    unit = {"alpha": {"A": 0.5}, "L": 0.0, "beta": 1.0, "gamma": 1.0,
+            "theta": 1.0}
+    unit.update(changes)
+    return {"u": unit}
+
+
 def _instance(**changes):
     # a valid instance with one section replaced
     obj = {"contaminants": ["A"],
            "feeds": {"f": {"flow": 1.0, "conc": {"A": 1.0}}},
-           "units": {"u": {"alpha": {"A": 0.5}, "L": 0.0, "beta": 1.0,
-                           "gamma": 1.0, "theta": 1.0}},
+           "units": _unit(),
            "limits": {"A": 1.0}}
     obj.update(changes)
     return obj
 
 
-@pytest.mark.parametrize("flag, content", [
-    ("--wtn", _instance(units={})),
-    ("--wtn", _instance(feeds=[1, 2])),
-    ("--wtn", _instance(feeds={"f": 5})),
-    ("--wtn", _instance(options=[])),
-    ("--wtn", [1, 2]),
-    ("--model", [1, 2]),
+@pytest.mark.parametrize("flag, content, field", [
+    ("--wtn", _instance(units={}), "units"),
+    ("--wtn", _instance(feeds=[1, 2]), "feeds"),
+    ("--wtn", _instance(feeds={"f": 5}), "feed 'f'"),
+    ("--wtn", _instance(options=[]), "options"),
+    ("--wtn", [1, 2], "instance"),
+    ("--model", [1, 2], None),
+    ("--wtn", _instance(contaminants="A"), "contaminants"),
+    ("--wtn", _instance(contaminants=5), "contaminants"),
+    ("--wtn", _instance(feeds={"f": {"flow": "x", "conc": {"A": 1.0}}}),
+     "feed 'f' flow"),
+    ("--wtn", _instance(limits={"A": None}), "limit[A]"),
+    ("--wtn", _instance(feeds={"f": {"flow": math.nan, "conc": {"A": 1.0}}}),
+     "feed 'f' flow"),
+    ("--wtn", _instance(units=_unit(beta=math.inf)), "beta[u]"),
 ], ids=["no-units", "feeds-list", "feed-number", "options-list",
-        "instance-list", "model-list"])
-def test_invalid_instance_is_usage_error(tmp_path, capsys, flag, content):
+        "instance-list", "model-list", "contaminants-string",
+        "contaminants-number", "flow-string", "limit-null", "flow-nan",
+        "beta-inf"])
+def test_invalid_instance_is_usage_error(tmp_path, capsys, flag, content,
+                                         field):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content))
     assert run([flag, str(bad)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("gdpkit: error:")
+    if field is not None:
+        assert field in err[0]
 
 
 def infeasible_model_file(tmp_path) -> Path:

@@ -15,6 +15,8 @@ from gdpkit.model import (
     interval_eval,
     load_model,
     save_model,
+    term_interval,
+    term_value,
 )
 
 
@@ -154,10 +156,39 @@ def test_interval_monotone_under_box_shrink():
         assert inner[1] <= outer[1] + 1e-12
 
 
+def test_evaluate_and_interval_sum_the_terms():
+    e = (Expression(0.5).add_log(2.0, 1).add_linear(-1.0, 0)
+         .add_power(-3.0, 0, 0.7).add_bilinear(1.5, 2, 0).add_log(-0.5, 2))
+    assert e.terms == [("log", 2.0, 1, None), ("pow", -3.0, 0, 0.7),
+                       ("bil", 1.5, 0, 2), ("log", -0.5, 2, None)]
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        lo, hi = _random_box(rng, 3)
+        point = rng.uniform(lo, hi)
+        val, ilo, ihi = 0.5 - point[0], 0.5 - hi[0], 0.5 - lo[0]
+        for kind, c, v, arg in e.terms:
+            val += c * term_value(kind, point, v, arg)
+            tlo, thi = term_interval(kind, lo, hi, v, arg)
+            ilo += min(c * tlo, c * thi)
+            ihi += max(c * tlo, c * thi)
+        assert e.evaluate(point) == pytest.approx(val, rel=1e-12)
+        assert interval_eval(e, lo, hi) == pytest.approx((ilo, ihi), rel=1e-12)
+
+
+def test_term_value_and_domain():
+    assert term_value("bil", [2.0, 3.0], 0, 1) == 6.0
+    assert term_value("pow", [4.0], 0, 0.5) == 2.0
+    assert term_value("log", [math.e], 0, None) == pytest.approx(1.0)
+    with pytest.raises(DomainError):
+        term_value("pow", [-1.0], 0, 0.5)
+    with pytest.raises(DomainError):
+        term_value("log", [0.0], 0, None)
+
+
 def test_bilinear_canonical_order():
     a = Expression().add_bilinear(2.0, 3, 1)
     b = Expression().add_bilinear(2.0, 1, 3)
-    assert a.bilinear == b.bilinear == [(2.0, 1, 3)]
+    assert a.terms == b.terms == [("bil", 2.0, 1, 3)]
 
 
 def wtn_like_model():
@@ -182,7 +213,12 @@ def wtn_like_model():
 
 def test_json_round_trip_byte_identical():
     m = wtn_like_model()
+    x, w = m.var_id("x"), m.var_id("w")
+    m.objective.add_power(1.0, x, 0.5).add_bilinear(2.0, w, x).add_log(1.0, w)
     text = save_model(m)
+    # nonlinear terms are written in the order they were added
+    assert [t["kind"] for t in json.loads(text)["objective"]["terms"]] == [
+        "lin", "pow", "bil", "log"]
     again = save_model(load_model(text))
     assert text == again
     parsed = json.loads(text)
@@ -200,6 +236,5 @@ def test_json_preserves_terms_and_logic():
     assert [d.guard for d in dj2.disjuncts] == ["on", "off"]
     assert dj2.disjuncts[0].fix_to_zero == [0]
     row = dj2.disjuncts[0].constraints[0]
-    assert row.body.powers == [(-3.0, 0, 0.7)]
-    assert row.body.logs == [(-1.0, 1)]
+    assert row.body.terms == [("pow", -3.0, 0, 0.7), ("log", -1.0, 1, None)]
     assert m2.logic[0].literals == [("on", True), ("off", True)]

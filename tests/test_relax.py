@@ -252,7 +252,7 @@ def test_relaxation_below_true_minimum():
         obj = np.full(flat_pts.shape[1], flat.objective.constant)
         for coef, v in flat.objective.linear:
             obj += coef * flat_pts[v]
-        for coef, i, j in flat.objective.bilinear:
+        for _, coef, i, j in flat.objective.terms:
             obj += coef * flat_pts[i] * flat_pts[j]
         assert sol.objective <= float(obj[feasible].min()) + 1e-7
 
@@ -287,3 +287,21 @@ def test_relaxation_rejects_log_box_reaching_zero():
     flat.objective = Expression().add_log(1.0, x)
     with pytest.raises(DomainError):
         build_lp_relaxation(flat, [0.0], [1.0])
+
+
+def test_aux_columns_follow_first_appearance_across_kinds():
+    flat = FlatModel(sense="min")
+    x = flat.add_variable("x", 0.5, 2.0)
+    w = flat.add_variable("w", 1.0, 3.0)
+    flat.objective = Expression().add_log(2.0, w)
+    flat.add_constraint(Constraint(
+        Expression().add_bilinear(1.0, w, x).add_power(-1.0, x, 0.5)
+        .add_log(1.0, w).add_bilinear(3.0, x, w), "<=", 4.0, "mix"),
+        {"kind": "global"})
+    lo, hi = flat.bounds_arrays()
+    lp = build_lp_relaxation(flat, lo, hi)
+    assert [(t.col, t.kind, t.var, t.arg) for t in lp.aux_terms] == [
+        (2, "log", w, None), (3, "bil", x, w), (4, "pow", x, 0.5)]
+    # repeated terms share their column
+    assert list(lp.c) == [0.0, 0.0, 2.0, 0.0, 0.0]
+    assert list(lp.A[0]) == [0.0, 0.0, 1.0, 4.0, -1.0]
