@@ -179,6 +179,8 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
         raise ValueError(f"workers must be 1, got {workers!r}")
     if not time_limit >= 0.0:
         raise ValueError(f"time_limit must be nonnegative, got {time_limit!r}")
+    if not gap >= 0.0:
+        raise ValueError(f"gap must be nonnegative, got {gap!r}")
     t0 = time.monotonic()
     maximize = flat.sense == "max"
     work = flat

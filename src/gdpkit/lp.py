@@ -3,13 +3,14 @@
 All structural variables carry finite bounds (relaxations guarantee
 this), so every auxiliary column can be boxed as well and unboundedness
 cannot occur. Two phases: artificial columns drive the start feasible,
-then the true costs take over. Dantzig pricing by default, Bland's rule
-after a run of degenerate pivots. The tableau T = Binv A is the only
-factorization: rows are negated where needed so that the starting basis
-is the identity, so T's columns at that basis are Binv at every pivot.
-A pivot rewrites only the block of T where the pivot column's rows and
-the pivot row's columns are both nonzero; every other cell would only
-subtract zero.
+then the true costs take over from the basis phase 1 ends with, each
+artificial frozen at its phase-1 value. Dantzig pricing by default,
+Bland's rule after a run of degenerate pivots. The tableau T = Binv A
+is the only factorization: rows are negated where needed so that the
+starting basis is the identity, so T's columns at that basis are Binv
+at every pivot. A pivot rewrites only the block of T where the pivot
+column's rows and the pivot row's columns are both nonzero; every other
+cell would only subtract zero.
 
 The simplex uses numpy alone: a second BLAS library (scipy bundles its
 own OpenBLAS) would run its threads against numpy's on every pivot.
@@ -274,59 +275,32 @@ class _Simplex:
             else:
                 degen_run = 0
 
-    def _drive_out_artificials(self):
-        """Swap basic artificials sitting exactly at zero for real
-        columns. Artificials still carrying a tolerated residual keep
-        their value: swapping them would silently shift the point."""
-        for r in range(self.m):
-            if self.basis[r] < self.first_art:
-                continue
-            if abs(self.x[self.basis[r]]) > 1e-12:
-                continue
-            row = self.T[r]
-            candidates = np.flatnonzero(
-                (np.abs(row[:self.first_art]) > 1e-7)
-                & (self.where[:self.first_art] != IN_BASIS))
-            if candidates.size == 0:
-                continue
-            q = int(candidates[0])
-            leaving = int(self.basis[r])
-            self.where[leaving] = AT_LOWER
-            self.x[leaving] = 0.0
-            self.basis[r] = q
-            self.where[q] = IN_BASIS
-            self._eliminate(r, q)
-            self.n_pivots += 1
-
     # -- driver ---------------------------------------------------------
 
     def solve(self) -> LpSolution:
         lp = self.lp
         n = self.n_struct
 
-        phase1_needed = self.first_art < self.n_total
-        if phase1_needed:
+        if self.first_art < self.n_total:
             cost1 = np.zeros(self.n_total)
             cost1[self.first_art:] = 1.0
             status = self._run_phase(cost1)
             if status != "optimal":
-                return self._failure(status)
+                return LpSolution(status, None, None, np.inf, self.n_pivots)
             infeas = float(self.x[self.first_art:].sum())
             if infeas > FEAS_TOL:
                 return LpSolution("infeasible", None, None, infeas,
                                   self.n_pivots)
-            self._drive_out_artificials()
-            # freeze artificials: basic ones keep their tolerated residual
-            # as a fixed bound, nonbasic ones are pinned at zero
+            # phase 2 starts from phase 1's basis, each artificial frozen at
+            # its phase-1 value (0 if nonbasic, or the LP was infeasible)
             art = slice(self.first_art, self.n_total)
-            vals = np.maximum(self.x[art], 0.0)
-            self.hi[art] = np.where(self.where[art] == IN_BASIS, vals, 0.0)
+            self.hi[art] = np.maximum(self.x[art], 0.0)
 
         cost2 = np.zeros(self.n_total)
         cost2[:n] = lp.c
         status = self._run_phase(cost2)
         if status != "optimal":
-            return self._failure(status)
+            return LpSolution(status, None, None, np.inf, self.n_pivots)
 
         x = np.clip(self.x[:n], lp.lo, lp.hi)
         viol = self._violation(x)
@@ -342,10 +316,6 @@ class _Simplex:
         excess = np.where(self.eq, np.abs(excess),
                           np.where(self.ge, -excess, excess))
         return float(excess.max(initial=0.0))
-
-    def _failure(self, status: str) -> LpSolution:
-        return LpSolution(status, None, None, float("inf"),
-                          self.n_pivots)
 
 
 def lp_solve(lp: LinearProgram) -> LpSolution:

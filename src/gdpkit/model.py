@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -225,9 +226,6 @@ class GdpModel:
         hi = [v.upper for v in self.variables]
         return lo, hi
 
-    def guard_names(self) -> list[str]:
-        return [d.guard for dj in self.disjunctions for d in dj.disjuncts]
-
     # -- validation ---------------------------------------------------
 
     def validate(self) -> ValidationReport:
@@ -387,21 +385,40 @@ def expr_to_json(expr: Expression) -> dict:
     return {"constant": expr.constant, "terms": terms}
 
 
+def _read(where: str, k: int | None, read, item, *args):
+    """read(item, *args) for item k (None if alone) of a model file; a
+    malformed item raises ValueError "where k: <what is wrong>"."""
+    try:
+        return read(item, *args)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        if not isinstance(item, dict):
+            exc = f"must be an object, got {type(item).__name__}"
+        elif isinstance(exc, KeyError):
+            exc = f"missing field {exc.args[0]!r}"
+        where = where if k is None else f"{where} {k}"
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _add_term(t: dict, e: Expression) -> None:
+    kind = t["kind"]
+    if kind == "lin":
+        e.add_linear(t["coef"], t["var"])
+    elif kind == "bil":
+        if not (isinstance(t["vars"], list) and len(t["vars"]) == 2):
+            raise ValueError(f"vars must hold two ids, got {t['vars']!r}")
+        e.add_bilinear(t["coef"], *t["vars"])
+    elif kind == "pow":
+        e.add_power(t["coef"], t["var"], t["exponent"])
+    elif kind == "log":
+        e.add_log(t["coef"], t["var"])
+    else:
+        raise ValueError(f"unknown term kind {kind!r}")
+
+
 def expr_from_json(obj: dict) -> Expression:
     e = Expression(obj.get("constant", 0.0))
-    for t in obj.get("terms", []):
-        kind = t["kind"]
-        if kind == "lin":
-            e.add_linear(t["coef"], t["var"])
-        elif kind == "bil":
-            i, j = t["vars"]
-            e.add_bilinear(t["coef"], i, j)
-        elif kind == "pow":
-            e.add_power(t["coef"], t["var"], t["exponent"])
-        elif kind == "log":
-            e.add_log(t["coef"], t["var"])
-        else:
-            raise ValueError(f"unknown term kind {kind!r}")
+    for k, t in enumerate(obj.get("terms", [])):
+        _read("term", k, _add_term, t, e)
     return e
 
 
@@ -411,19 +428,16 @@ def constraint_to_json(c: Constraint) -> dict:
 
 
 def constraint_from_json(obj: dict) -> Constraint:
-    return Constraint(expr_from_json(obj["body"]), obj["sense"],
-                      obj["rhs"], obj.get("label", ""))
-
-
-def variables_to_json(variables: list[Variable]) -> list[dict]:
-    return [{"id": v.id, "name": v.name, "lower": v.lower,
-             "upper": v.upper, "kind": v.kind} for v in variables]
+    return Constraint(_read("body", None, expr_from_json, obj["body"]),
+                      obj["sense"], obj["rhs"], obj.get("label", ""))
 
 
 def model_to_json(model: GdpModel) -> dict:
     return {
         "sense": model.sense,
-        "variables": variables_to_json(model.variables),
+        "variables": [{"id": v.id, "name": v.name, "lower": v.lower,
+                       "upper": v.upper, "kind": v.kind}
+                      for v in model.variables],
         "objective": expr_to_json(model.objective),
         "globals": [constraint_to_json(c) for c in model.globals],
         "disjunctions": [
@@ -447,25 +461,31 @@ def model_to_json(model: GdpModel) -> dict:
     }
 
 
+def _add_variable(v: dict, model: GdpModel) -> None:
+    vid = model.add_variable(v["name"], v["lower"], v["upper"], v["kind"])
+    if vid != v["id"]:
+        raise ValueError(f"variable ids must be 0..n-1 in order; got {v['id']}")
+
+
+def _disjunct_from_json(d: dict) -> Disjunct:
+    return Disjunct(d["guard"],
+                    [_read("constraint", r, constraint_from_json, c)
+                     for r, c in enumerate(d.get("constraints", []))],
+                    list(d.get("fix_to_zero", [])))
+
+
 def model_from_json(obj: dict) -> GdpModel:
     model = GdpModel(obj["sense"])
-    for v in obj["variables"]:
-        vid = model.add_variable(v["name"], v["lower"], v["upper"], v["kind"])
-        if vid != v["id"]:
-            raise ValueError(f"variable ids must be 0..n-1 in order; got {v['id']}")
-    model.objective = expr_from_json(obj["objective"])
-    for c in obj.get("globals", []):
-        model.add_global(constraint_from_json(c))
-    for dj in obj.get("disjunctions", []):
-        disjuncts = [
-            Disjunct(
-                d["guard"],
-                [constraint_from_json(c) for c in d.get("constraints", [])],
-                list(d.get("fix_to_zero", [])),
-            )
-            for d in dj["disjuncts"]
-        ]
-        model.add_disjunction(Disjunction(disjuncts, dj.get("label", "")))
+    for k, v in enumerate(obj["variables"]):
+        _read("variable", k, _add_variable, v, model)
+    model.objective = _read("objective", None, expr_from_json, obj["objective"])
+    for k, c in enumerate(obj.get("globals", [])):
+        model.add_global(_read("global", k, constraint_from_json, c))
+    for k, dj in enumerate(obj.get("disjunctions", [])):
+        disjuncts = _read("disjunction", k, itemgetter("disjuncts"), dj)
+        model.add_disjunction(Disjunction(
+            [_read(f"disjunction {k}: disjunct", i, _disjunct_from_json, d)
+             for i, d in enumerate(disjuncts)], dj.get("label", "")))
     for cl in obj.get("logic", []):
         model.add_logic(LogicClause([(lit["bool"], bool(lit["polarity"])) for lit in cl]))
     return model
@@ -476,4 +496,6 @@ def save_model(model: GdpModel) -> str:
 
 
 def load_model(text: str) -> GdpModel:
-    return model_from_json(json.loads(text))
+    """A malformed file raises ValueError naming the items and the field
+    at fault: "model: disjunction 0: disjunct 1: missing field 'guard'"."""
+    return _read("model", None, model_from_json, json.loads(text))

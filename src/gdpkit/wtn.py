@@ -126,8 +126,12 @@ def parse_wtn_data(obj: dict) -> WtnData:
     limits = {j: number(need(limits, j, "limits"), f"limit[{j}]")
               for j in contaminants}
     options = section(obj.get("options", {}), "options")
+    self_recycle = options.get("self_recycle", False)
+    if not isinstance(self_recycle, bool):
+        raise ValueError(f"options.self_recycle must be true or false, "
+                         f"got {self_recycle!r}")
     return WtnData(contaminants, feed_flow, feed_conc, units, limits,
-                   self_recycle=bool(options.get("self_recycle", False)))
+                   self_recycle=self_recycle)
 
 
 def load_wtn_data(path) -> WtnData:

@@ -201,6 +201,13 @@ def test_bad_time_limit_rejected(limit):
         solve_global(neg_product_model(), time_limit=limit)
 
 
+@pytest.mark.parametrize("gap", [float("nan"), -1.0])
+def test_bad_gap_rejected(gap):
+    # either would report a proven optimum as merely feasible
+    with pytest.raises(ValueError, match="gap"):
+        solve_global(neg_product_model(), gap=gap)
+
+
 def test_node_limit_is_truthful():
     flat = neg_product_model()
     res = solve_global(flat, node_limit=3)

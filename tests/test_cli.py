@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from gdpkit.cli import build_parser, main, run_pipeline
-from gdpkit.model import Constraint, Expression, GdpModel, save_model
+from gdpkit.model import (Constraint, Disjunct, Disjunction, Expression,
+                          GdpModel, load_model, model_to_json,
+                          save_model)
 
 REPO = Path(__file__).resolve().parent.parent
 INSTANCE = REPO / "instances" / "wtn_small.json"
@@ -83,7 +85,7 @@ def _instance(**changes):
     ("--wtn", _instance(feeds={"f": 5}), "feed 'f'"),
     ("--wtn", _instance(options=[]), "options"),
     ("--wtn", [1, 2], "instance"),
-    ("--model", [1, 2], None),
+    ("--model", [1, 2], "model"),
     ("--wtn", _instance(contaminants="A"), "contaminants"),
     ("--wtn", _instance(contaminants=5), "contaminants"),
     ("--wtn", _instance(feeds={"f": {"flow": "x", "conc": {"A": 1.0}}}),
@@ -92,10 +94,13 @@ def _instance(**changes):
     ("--wtn", _instance(feeds={"f": {"flow": math.nan, "conc": {"A": 1.0}}}),
      "feed 'f' flow"),
     ("--wtn", _instance(units=_unit(beta=math.inf)), "beta[u]"),
+    ("--wtn", _instance(options={"self_recycle": "false"}),
+     "options.self_recycle"),
+    ("--wtn", _instance(options={"self_recycle": 1}), "options.self_recycle"),
 ], ids=["no-units", "feeds-list", "feed-number", "options-list",
         "instance-list", "model-list", "contaminants-string",
         "contaminants-number", "flow-string", "limit-null", "flow-nan",
-        "beta-inf"])
+        "beta-inf", "recycle-string", "recycle-number"])
 def test_invalid_instance_is_usage_error(tmp_path, capsys, flag, content,
                                          field):
     bad = tmp_path / "bad.json"
@@ -105,6 +110,51 @@ def test_invalid_instance_is_usage_error(tmp_path, capsys, flag, content,
     assert len(err) == 1 and err[0].startswith("gdpkit: error:")
     if field is not None:
         assert field in err[0]
+
+
+def _model(edit):
+    # a valid model file's JSON with one disjunction, then edited in place
+    m = GdpModel()
+    x = m.add_variable("x", 0.0, 1.0)
+    y = m.add_variable("y", 0.0, 1.0)
+    m.objective.add_bilinear(-1.0, x, y)
+    m.add_disjunction(Disjunction([Disjunct("Y", [], [x]), Disjunct("N")]))
+    obj = model_to_json(m)
+    edit(obj)
+    return obj
+
+
+def _terms(obj):
+    return obj["objective"]["terms"]
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda m: m.pop("sense"), "model: missing field 'sense'"),
+    (lambda m: m["variables"][0].pop("name"),
+     "variable 0: missing field 'name'"),
+    (lambda m: m["variables"].append(5), "variable 2: must be an object"),
+    (lambda m: _terms(m)[0].pop("coef"),
+     "objective: term 0: missing field 'coef'"),
+    (lambda m: _terms(m)[0].update(coef="x"),
+     "objective: term 0: could not convert string to float: 'x'"),
+    (lambda m: _terms(m)[0].update(vars=[0]),
+     "objective: term 0: vars must hold two ids"),
+    (lambda m: _terms(m).append([]), "objective: term 1: must be an object"),
+    (lambda m: m["disjunctions"][0]["disjuncts"][0].pop("guard"),
+     "disjunction 0: disjunct 0: missing field 'guard'"),
+    (lambda m: m["disjunctions"][0]["disjuncts"].append(3),
+     "disjunction 0: disjunct 2: must be an object"),
+], ids=["no-sense", "variable-no-name", "variable-number", "term-no-coef",
+        "coef-string", "bil-one-var", "term-list", "disjunct-no-guard",
+        "disjunct-number"])
+def test_malformed_model_names_field(tmp_path, capsys, edit, field):
+    load_model(json.dumps(_model(lambda m: None)))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_model(edit)))
+    assert run(["--model", str(bad), "--approx", "none"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("gdpkit: error:")
+    assert field in err[0]
 
 
 def infeasible_model_file(tmp_path) -> Path:

@@ -124,6 +124,23 @@ def _random_lp(rng):
     return make_lp(c, A, senses, b, lo, hi)
 
 
+def _highs(lp):
+    """The same LP through scipy's HiGHS, the independent reference."""
+    A_ub, b_ub, A_eq, b_eq = [], [], [], []
+    for row, s, rhs in zip(lp.A, lp.senses, lp.b):
+        if s == "<=":
+            A_ub.append(row); b_ub.append(rhs)
+        elif s == ">=":
+            A_ub.append(-row); b_ub.append(-rhs)
+        else:
+            A_eq.append(row); b_eq.append(rhs)
+    return linprog(lp.c, A_ub=np.array(A_ub) if A_ub else None,
+                   b_ub=np.array(b_ub) if b_ub else None,
+                   A_eq=np.array(A_eq) if A_eq else None,
+                   b_eq=np.array(b_eq) if b_eq else None,
+                   bounds=list(zip(lp.lo, lp.hi)), method="highs")
+
+
 def test_agrees_with_reference_solver_on_random_lps():
     rng = np.random.default_rng(101)
     solved = 0
@@ -132,19 +149,7 @@ def test_agrees_with_reference_solver_on_random_lps():
         sol = lp_solve(lp)
         assert sol.status == "optimal"
         assert sol.max_violation <= 1e-7
-        A_ub, b_ub, A_eq, b_eq = [], [], [], []
-        for row, s, rhs in zip(lp.A, lp.senses, lp.b):
-            if s == "<=":
-                A_ub.append(row); b_ub.append(rhs)
-            elif s == ">=":
-                A_ub.append(-row); b_ub.append(-rhs)
-            else:
-                A_eq.append(row); b_eq.append(rhs)
-        ref = linprog(lp.c, A_ub=np.array(A_ub) if A_ub else None,
-                      b_ub=np.array(b_ub) if b_ub else None,
-                      A_eq=np.array(A_eq) if A_eq else None,
-                      b_eq=np.array(b_eq) if b_eq else None,
-                      bounds=list(zip(lp.lo, lp.hi)), method="highs")
+        ref = _highs(lp)
         assert ref.status == 0
         assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
         solved += 1
@@ -264,6 +269,42 @@ def test_restricted_update_walks_the_full_row_update_path(monkeypatch):
         assert np.array_equal(sx.T, ref_sx.T)
         statuses.add(sol.status)
     assert "optimal" in statuses
+
+
+def _zero_basic_artificial_row(sx):
+    """Whether a basic artificial sits at 0 in a row whose structural
+    part is nonzero: phase 2 has to pivot it out on its own."""
+    rows = np.flatnonzero(sx.basis >= sx.first_art)
+    at_zero = rows[np.abs(sx.x[sx.basis[rows]]) <= 1e-12]
+    return bool(np.any(np.abs(sx.T[at_zero, :sx.n_struct]) > 1e-7))
+
+
+def test_shipped_network_lps_match_highs(monkeypatch):
+    # phase 2 starts from the basis phase 1 ends with; HiGHS is the
+    # independent oracle on every node LP of the shipped network's
+    # one-binary boxes, including those where phase 1 leaves a basic
+    # artificial at 0
+    lps = (_shipped_network_lps(ApproxPolicy(method="quad"))
+           + _shipped_network_lps(ApproxPolicy(method="pwl", n_segments=21)))
+    assert len(lps) == 98
+    run_phase = _Simplex._run_phase
+    after_phase1 = []
+
+    def recording(self, cost):
+        status = run_phase(self, cost)
+        if cost[self.first_art:].any():
+            after_phase1.append(_zero_basic_artificial_row(self))
+        return status
+
+    monkeypatch.setattr(_Simplex, "_run_phase", recording)
+    for lp in lps:
+        sol = lp_solve(lp)
+        ref = _highs(lp)
+        assert sol.status == {0: "optimal", 2: "infeasible"}[ref.status]
+        if ref.status == 0:
+            assert sol.objective == pytest.approx(ref.fun + lp.obj_const,
+                                                  rel=1e-9)
+    assert any(after_phase1)
 
 
 def test_start_basis_is_the_identity():

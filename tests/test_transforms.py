@@ -246,7 +246,7 @@ def test_transform_preserves_assignment_feasibility(seed):
     # x's lower bound 0 writes no fix[x:B]:lb row, -0.5 keeps it
     for x_lower in (0.0, -0.5):
         m = gdp_for_equivalence(seed, x_lower)
-        guards = m.guard_names()
+        guards = [d.guard for dj in m.disjunctions for d in dj.disjuncts]
         flat = bigm_transform(m)
         labels = {c.label for c in flat.constraints}
         assert ("fix[x:B]:lb" in labels) == (x_lower != 0.0)
