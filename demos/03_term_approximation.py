@@ -1,12 +1,12 @@
 # The two reformulation strategies for concave terms, side by side:
-# a least-squares quadratic (model size unchanged, visible bias) and an
-# incremental piecewise-linear encoding (exact at breakpoints, adds
-# fill variables and ordering binaries).
+# a least-squares quadratic (model size unchanged, visible bias) and a
+# piecewise-linear table (exact at breakpoints, kept as one "pwl" term
+# that the relaxation bounds by its convex hull).
 
 import numpy as np
 
-from gdpkit import build_pwl, encode_pwl_incremental, fit_quadratic
-from gdpkit.transforms import FlatModel
+from gdpkit import (ApproxPolicy, GdpModel, apply_approximation, build_pwl,
+                    fit_quadratic, pwl_envelope)
 
 f = lambda x: np.asarray(x, dtype=float) ** 0.7
 
@@ -27,23 +27,33 @@ for segments in (11, 31, 101):
 # More segments always help; the error falls roughly with the square of
 # the segment count away from the steep left edge.
 
-# -- the incremental encoding ------------------------------------------
-host = FlatModel(sense="min")
-x = host.add_variable("x", 0.0, 1.0)
-out = host.add_variable("fx", 0.0, 1.0)
-table = build_pwl(f, 0.0, 1.0, 101)
-enc = encode_pwl_incremental(table, x, out, host, "seg")
-print(f"\nencoding a 101-segment table adds {len(enc.deltas)} fill "
-      f"variables, {len(enc.binaries)} ordering binaries and "
-      f"{len(enc.rows)} rows")
+# -- the table as a model term -----------------------------------------
+m = GdpModel()
+x = m.add_variable("x", 0.0, 1.0)
+m.objective.add_power(1.0, x, 0.7)
+out, report = apply_approximation(m, ApproxPolicy("pwl", n_segments=5))
+kind, coef, var, (xs, ys) = out.objective.terms[0]
+print(f"\npwl-5 replaces x^0.7 by a {kind!r} term over breakpoints "
+      f"{', '.join(f'{b:g}' for b in xs)}")
+print(f"added variables, binaries and rows: {report[0]['added_continuous']}, "
+      f"{report[0]['added_binary']}, {report[0]['added_constraints']}")
 
-# Filling order in action: two full segments plus half of the third puts
-# x at 2.5 segment widths and the output on the interpolant.
-deltas = np.zeros(101)
-deltas[:2] = 1.0
-deltas[2] = 0.5
-x_val = table.breakpoints[0] + float(np.diff(table.breakpoints) @ deltas)
-out_val = table.values[0] + float(np.diff(table.values) @ deltas)
-print(f"fill (1, 1, 0.5, 0, ...): x = {x_val:.6f}, "
-      f"output = {out_val:.6f}, interpolant = "
-      f"{float(table.interpolate(x_val)):.6f}")
+# -- its envelope on sub-boxes -----------------------------------------
+# Over a box the relaxation keeps the chord below and the line of each
+# segment the box meets above: the convex hull of the table's graph.
+for box in ((0.1, 0.7), (0.45, 0.55)):
+    env = pwl_envelope((xs, ys), box)
+    print(f"\nenvelope rows on [{box[0]}, {box[1]}]:")
+    for row in env.rows:
+        print(f"  w {row.coefs['x']:+.6f} x {row.sense} {row.rhs:+.6f}")
+    mid = 0.5 * (box[0] + box[1])
+    lo = max(row.rhs - row.coefs["x"] * mid for row in env.rows
+             if row.sense == ">=")
+    hi = min(row.rhs - row.coefs["x"] * mid for row in env.rows
+             if row.sense == "<=")
+    print(f"  at x = {mid:g}: {lo:.6f} <= w <= {hi:.6f}, table "
+          f"{float(np.interp(mid, xs, ys)):.6f}")
+
+# The second box lies inside one segment, so its chord is that
+# segment's line and the rows pin w to the table: spatial branching on
+# x closes the gap without any binary.

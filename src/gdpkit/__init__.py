@@ -29,12 +29,10 @@ from .transforms import (
 )
 from .approx import (
     ApproxPolicy,
-    PwlEncoding,
     PwlTable,
     QuadFit,
     apply_approximation,
     build_pwl,
-    encode_pwl_incremental,
     fit_quadratic,
 )
 from .relax import (
@@ -44,6 +42,7 @@ from .relax import (
     concave_envelope,
     envelope_violations,
     mccormick_bilinear,
+    pwl_envelope,
 )
 from .lp import LinearProgram, LpSolution, lp_solve
 from .bnb import SolveResult, branch_select, feasibility_check, solve_global

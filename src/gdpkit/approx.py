@@ -2,10 +2,11 @@
 piecewise-linear form.
 
 Two strategies are offered per term: a least-squares quadratic fit
-(model size unchanged, the term becomes a*x**2 + b*x + c) and an
-incremental piecewise-linear encoding (exact at breakpoints, adds one
-output variable, segment fill variables and ordering binaries). Both
-carry a certified max error measured on a dense uniform grid.
+(the term becomes a*x**2 + b*x + c) and a piecewise-linear table (the
+term becomes a "pwl" term over its interpolation table, exact at the
+breakpoints). Neither adds variables or rows; the relaxation bounds a
+table by its convex hull and spatial branching refines it. Both carry a
+certified max error measured on a dense uniform grid.
 """
 
 from __future__ import annotations
@@ -16,17 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (
-    BINARY,
-    CONTINUOUS,
-    SENSE_EQ,
-    SENSE_LE,
-    Constraint,
-    Expression,
-    GdpModel,
-    model_from_json,
-    model_to_json,
-)
+from .model import GdpModel, model_from_json, model_to_json
 
 ERROR_GRID = 10_001
 
@@ -55,29 +46,12 @@ class PwlTable:
     breakpoints: np.ndarray
     values: np.ndarray
 
-    @property
-    def n_segments(self) -> int:
-        return len(self.breakpoints) - 1
-
     def interpolate(self, x):
         return np.interp(x, self.breakpoints, self.values)
 
     def max_grid_error(self, f: Callable) -> float:
         return _grid_errors(self.interpolate, f, self.breakpoints[0],
                             self.breakpoints[-1])[0]
-
-
-@dataclass
-class PwlEncoding:
-    """Incremental-model rows for one table.
-
-    Fill variables delta_1..delta_N trace the segments in order; binaries
-    z_1..z_{N-1} force the filling order delta_{k+1} <= z_k <= delta_k.
-    """
-
-    deltas: list[int]
-    binaries: list[int]
-    rows: list[Constraint]
 
 
 @dataclass
@@ -148,52 +122,6 @@ def build_pwl(f: Callable, lower: float, upper: float, n_segments: int) -> PwlTa
     return PwlTable(breakpoints=xs, values=np.asarray(f(xs), dtype=float))
 
 
-def encode_pwl_incremental(table: PwlTable, x_var: int, out_var: int,
-                           model, prefix: str) -> PwlEncoding:
-    """Materialize the incremental rows for a table in a model.
-
-    The model must expose add_variable(); x_var's bounds must equal the
-    table domain. Adds N fill variables and N-1 ordering binaries, the
-    ordering rows, and the two linking equalities for x and the output.
-    """
-    var = model.variables[x_var]
-    if abs(var.lower - table.breakpoints[0]) > 1e-12 or \
-            abs(var.upper - table.breakpoints[-1]) > 1e-12:
-        raise ValueError(
-            f"bound mismatch: {var.name!r} spans [{var.lower}, {var.upper}] "
-            f"but the table spans [{table.breakpoints[0]}, {table.breakpoints[-1]}]")
-
-    n = table.n_segments
-    deltas = [model.add_variable(f"{prefix}.d{k}", 0.0, 1.0, CONTINUOUS)
-              for k in range(1, n + 1)]
-    binaries = [model.add_variable(f"{prefix}.z{k}", 0.0, 1.0, BINARY)
-                for k in range(1, n)]
-
-    rows: list[Constraint] = []
-    for k in range(n - 1):
-        # delta_{k+2} <= z_{k+1} <= delta_{k+1} in 1-based segment terms
-        lower_row = Expression().add_linear(1.0, deltas[k + 1]).add_linear(-1.0, binaries[k])
-        rows.append(Constraint(lower_row, SENSE_LE, 0.0, f"{prefix}.ord{k + 1}:lo"))
-        upper_row = Expression().add_linear(1.0, binaries[k]).add_linear(-1.0, deltas[k])
-        rows.append(Constraint(upper_row, SENSE_LE, 0.0, f"{prefix}.ord{k + 1}:hi"))
-
-    widths = np.diff(table.breakpoints)
-    x_row = Expression().add_linear(1.0, x_var)
-    for k, w in enumerate(widths):
-        x_row.add_linear(-float(w), deltas[k])
-    rows.append(Constraint(x_row, SENSE_EQ, float(table.breakpoints[0]),
-                           f"{prefix}.x"))
-
-    rises = np.diff(table.values)
-    out_row = Expression().add_linear(1.0, out_var)
-    for k, r in enumerate(rises):
-        out_row.add_linear(-float(r), deltas[k])
-    rows.append(Constraint(out_row, SENSE_EQ, float(table.values[0]),
-                           f"{prefix}.out"))
-
-    return PwlEncoding(deltas=deltas, binaries=binaries, rows=rows)
-
-
 def _clone(model: GdpModel) -> GdpModel:
     if not isinstance(model, GdpModel):
         raise TypeError(f"expected GdpModel, got {type(model).__name__}")
@@ -201,14 +129,14 @@ def _clone(model: GdpModel) -> GdpModel:
 
 
 def _approx_sites(model: GdpModel):
-    """Yield (expression, site label, owning disjunct or None)."""
-    yield model.objective, "objective", None
+    """Yield (expression, site label)."""
+    yield model.objective, "objective"
     for c in model.globals:
-        yield c.body, c.label or "global", None
+        yield c.body, c.label or "global"
     for dj in model.disjunctions:
         for d in dj.disjuncts:
             for c in d.constraints:
-                yield c.body, c.label or d.guard, d
+                yield c.body, c.label or d.guard
 
 
 def apply_approximation(model: GdpModel, policy: ApproxPolicy):
@@ -217,19 +145,16 @@ def apply_approximation(model: GdpModel, policy: ApproxPolicy):
     Terms are replaced in the disjunctive model, before it is flattened,
     so only a GdpModel is accepted. Returns (new model, report). The
     report carries one record per replaced term: kind, variable, domain,
-    certified errors and added counts. Linear and bilinear content is
-    untouched. Rows for a term found inside a disjunct are added to that
-    disjunct, so the encoding is relaxed together with the rest of the
-    unit.
+    certified errors and added counts, which are 0 under both policies.
+    Every other term, pwl ones included, is untouched, and each
+    replacement stays in the row it came from.
     """
     out = _clone(model)
     report: list[dict] = []
-    counter = 0
 
-    # materialized up front: processing appends rows to the model
-    for expr, site, owner in list(_approx_sites(out)):
-        concave = [t for t in expr.terms if t[0] != "bil"]
-        expr.terms = [t for t in expr.terms if t[0] == "bil"]
+    for expr, site in _approx_sites(out):
+        concave = [t for t in expr.terms if t[0] in ("pow", "log")]
+        expr.terms = [t for t in expr.terms if t[0] not in ("pow", "log")]
         for kind, coef, vid, exponent in concave:
             var = out.variables[vid]
             if not (math.isfinite(var.lower) and math.isfinite(var.upper)):
@@ -246,30 +171,15 @@ def apply_approximation(model: GdpModel, policy: ApproxPolicy):
                 expr.constant += coef * fit.c
                 expr.add_linear(coef * fit.b, vid)
                 expr.add_bilinear(coef * fit.a, vid, vid)
-                entry.update(max_abs_error=fit.max_abs_error,
-                             rms_error=fit.rms_error,
-                             added_continuous=0, added_binary=0,
-                             added_constraints=0)
+                max_abs, rms = fit.max_abs_error, fit.rms_error
             else:
                 table = build_pwl(f, var.lower, var.upper, policy.n_segments)
-                prefix = f"pwl{counter}[{var.name}]"
-                flo = float(table.values.min())
-                fhi = float(table.values.max())
-                w = out.add_variable(f"{prefix}.f", flo, fhi, CONTINUOUS)
-                enc = encode_pwl_incremental(table, vid, w, out, prefix)
-                expr.add_linear(coef, w)
-                if owner is not None:
-                    owner.constraints.extend(enc.rows)
-                else:
-                    for row in enc.rows:
-                        out.add_global(row)
+                expr.add_pwl(coef, vid, table.breakpoints, table.values)
                 max_abs, rms = _grid_errors(table.interpolate, f, var.lower,
                                             var.upper)
-                entry.update(max_abs_error=max_abs, rms_error=rms,
-                             added_continuous=len(enc.deltas) + 1,
-                             added_binary=len(enc.binaries),
-                             added_constraints=len(enc.rows))
-            counter += 1
+            entry.update(max_abs_error=max_abs, rms_error=rms,
+                         added_continuous=0, added_binary=0,
+                         added_constraints=0)
             report.append(entry)
 
     return out, report

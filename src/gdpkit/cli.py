@@ -100,8 +100,8 @@ def run_pipeline(args: argparse.Namespace) -> int:
         else:
             source = args.model
             gdp = load_model(Path(args.model).read_text())
-    except FileNotFoundError as exc:
-        return _fail(f"cannot read {exc.filename!r}")
+    except OSError as exc:
+        return _fail(f"cannot read {exc.filename!r}: {exc.strerror}")
     except (ValueError, KeyError, TypeError) as exc:
         return _fail(str(exc))
 
@@ -113,7 +113,7 @@ def run_pipeline(args: argparse.Namespace) -> int:
     approx_report: list[dict] = []
     if args.approx == "none":
         exprs = [original_flat.objective] + [c.body for c in original_flat.constraints]
-        if any(kind != "bil" for e in exprs for kind, *_ in e.terms):
+        if any(kind in ("pow", "log") for e in exprs for kind, *_ in e.terms):
             return _fail("model still carries power/log terms; pick "
                          "--approx quad or --approx pwl")
         flat = original_flat

@@ -1,8 +1,9 @@
 """Algebraic core: bounded variables, expressions, disjunctive models.
 
-Expressions admit exactly three nonlinearity kinds, on top of an affine
-part: bilinear products, concave powers x**p with 0 < p < 1, and
-natural logs. Anything else is rejected at validation time.
+Expressions admit exactly four nonlinearity kinds, on top of an affine
+part: bilinear products, concave powers x**p with 0 < p < 1, natural
+logs, and concave piecewise-linear tables. Anything else is rejected
+at validation time.
 
 Models are treated as immutable once validated; all downstream passes
 build fresh objects.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -48,7 +50,11 @@ class Expression:
       equal expressions compare equal regardless of the order the caller
       supplied the factors in;
     - ("pow", c, v, p): c * x_v**p with 0 < p < 1;
-    - ("log", c, v, None): c * ln(x_v).
+    - ("log", c, v, None): c * ln(x_v);
+    - ("pwl", c, v, (xs, ys)): c * the linear interpolant of the table
+      through the points (xs[k], ys[k]), a concave table over
+      [xs[0], xs[-1]]; the table is a tuple of two float tuples, so the
+      term stays hashable.
 
     term_value and term_interval give each kind's value and range.
     """
@@ -58,7 +64,7 @@ class Expression:
     def __init__(self, constant: float = 0.0):
         self.constant = float(constant)
         self.linear: list[tuple[float, int]] = []
-        self.terms: list[tuple[str, float, int, int | float | None]] = []
+        self.terms: list[tuple[str, float, int, int | float | tuple | None]] = []
 
     def add_linear(self, coef: float, var: int) -> "Expression":
         if coef != 0.0:
@@ -81,6 +87,15 @@ class Expression:
     def add_log(self, coef: float, var: int) -> "Expression":
         if coef != 0.0:
             self.terms.append(("log", float(coef), int(var), None))
+        return self
+
+    def add_pwl(self, coef: float, var: int, breakpoints, values) -> "Expression":
+        table = (tuple(map(float, breakpoints)), tuple(map(float, values)))
+        problem = pwl_table_problem(table)
+        if problem:
+            raise ValueError(problem)
+        if coef != 0.0:
+            self.terms.append(("pwl", float(coef), int(var), table))
         return self
 
     def is_linear(self) -> bool:
@@ -117,6 +132,8 @@ class Expression:
                 parts.append(f"{c:+g}*x{v}*x{arg}")
             elif kind == "pow":
                 parts.append(f"{c:+g}*x{v}^{arg:g}")
+            elif kind == "pwl":
+                parts.append(f"{c:+g}*pwl{len(arg[0]) - 1}(x{v})")
             else:
                 parts.append(f"{c:+g}*ln(x{v})")
         return "Expr(" + (" ".join(parts) or "0") + ")"
@@ -250,8 +267,13 @@ class GdpModel:
             for vid in unknown:
                 add(f"unknown variable: id {vid} referenced by {where}")
             for kind, _, vid, arg in expr.terms:
+                table_problem = kind == "pwl" and pwl_table_problem(arg)
                 if kind == "pow" and not 0.0 < arg < 1.0:
                     add(f"power exponent: {arg} outside (0, 1) in {where}")
+                elif table_problem:
+                    name = repr(self.variables[vid].name) if 0 <= vid < n \
+                        else f"id {vid}"
+                    add(f"pwl table: {name}: {table_problem} in {where}")
                 elif not unknown:
                     try:
                         term_interval(kind, lo, hi, vid, arg)
@@ -299,12 +321,43 @@ class GdpModel:
 # -- term values and ranges -------------------------------------------
 
 
+def pwl_table_problem(table) -> str | None:
+    """What makes a (breakpoints, values) table unfit for a pwl term, or
+    None: it needs 2 or more strictly increasing breakpoints, as many
+    values, and slopes that do not increase (a concave table)."""
+    xs, ys = table
+    if len(xs) < 2:
+        return f"needs at least 2 breakpoints, got {len(xs)}"
+    if len(xs) != len(ys):
+        return f"{len(xs)} breakpoints but {len(ys)} values"
+    if not all(a < b for a, b in zip(xs, xs[1:])):
+        return "breakpoints must strictly increase"
+    slopes = [(ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
+              for k in range(len(xs) - 1)]
+    for k, (s, t) in enumerate(zip(slopes, slopes[1:])):
+        if t - s > 1e-9 * max(1.0, abs(s), abs(t)):
+            return f"slopes increase at breakpoint {k + 1}: the table is not concave"
+    return None
+
+
+def pwl_value(table, x: float) -> float:
+    """The table's linear interpolant at x; DomainError outside
+    [xs[0], xs[-1]]."""
+    xs, ys = table
+    if not xs[0] <= x <= xs[-1]:
+        raise DomainError(f"pwl term evaluated at {x}, outside its table "
+                          f"[{xs[0]}, {xs[-1]}]")
+    k = min(bisect_right(xs, x), len(xs) - 1)
+    return ys[k - 1] + (ys[k] - ys[k - 1]) * (x - xs[k - 1]) / (xs[k] - xs[k - 1])
+
+
 def term_value(kind: str, point, var: int, arg) -> float:
-    """Exact value at a point of one term: "bil" var*arg, "pow" var**arg
-    or "log" log(var).
+    """Exact value at a point of one term: "bil" var*arg, "pow" var**arg,
+    "pwl" the table arg at var, or "log" log(var).
 
     point is indexable by variable id. Raises DomainError if a log term
-    is evaluated at a value <= 0 or a power term at a negative value.
+    is evaluated at a value <= 0, a power term at a negative value or a
+    pwl term outside its table.
     """
     x = point[var]
     if kind == "bil":
@@ -313,18 +366,20 @@ def term_value(kind: str, point, var: int, arg) -> float:
         if x < 0.0:
             raise DomainError(f"power term evaluated at negative value {x}")
         return x**arg
+    if kind == "pwl":
+        return pwl_value(arg, x)
     if x <= 0.0:
         raise DomainError(f"log term evaluated at non-positive value {x}")
     return math.log(x)
 
 
 def term_interval(kind: str, lo, hi, var: int, arg) -> tuple[float, float]:
-    """Exact range over a box of one term: "bil" var*arg, "pow" var**arg
-    or "log" log(var).
+    """Exact range over a box of one term: "bil" var*arg, "pow" var**arg,
+    "pwl" the table arg at var, or "log" log(var).
 
     lo/hi are indexable by variable id. Raises DomainError if a log
-    term's box reaches values <= 0 or a power term's box reaches
-    negative values.
+    term's box reaches values <= 0, a power term's box reaches negative
+    values or a pwl term's box leaves its table.
     """
     if kind == "bil":
         corners = (lo[var] * lo[arg], lo[var] * hi[arg],
@@ -335,6 +390,13 @@ def term_interval(kind: str, lo, hi, var: int, arg) -> tuple[float, float]:
             raise DomainError(f"power term over box reaching negative values "
                               f"(var id {var}, lower {lo[var]})")
         return lo[var] ** arg, hi[var] ** arg
+    if kind == "pwl":
+        # concave: the least value at an end of the box, the greatest at
+        # an end or at a breakpoint inside it
+        xs, ys = arg
+        ends = (pwl_value(arg, lo[var]), pwl_value(arg, hi[var]))
+        inside = ys[bisect_right(xs, lo[var]):bisect_right(xs, hi[var])]
+        return min(ends), max(ends + inside)
     if lo[var] <= 0.0:
         raise DomainError(f"log term over box reaching values <= 0 "
                           f"(var id {var}, lower {lo[var]})")
@@ -366,7 +428,7 @@ def interval_eval(expr: Expression, lo, hi) -> tuple[float, float]:
 # -- JSON schema ------------------------------------------------------
 #
 # Top-level keys: variables, objective, sense, globals, disjunctions,
-# logic. Expressions are term lists tagged lin/bil/pow/log. Saving a
+# logic. Expressions are term lists tagged lin/bil/pow/log/pwl. Saving a
 # just-loaded model reproduces the file byte for byte (modulo the
 # whitespace conventions of the writer, which are fixed).
 
@@ -381,6 +443,8 @@ def expr_to_json(expr: Expression) -> dict:
             term["var"] = v
         if kind == "pow":
             term["exponent"] = arg
+        elif kind == "pwl":
+            term["breakpoints"], term["values"] = map(list, arg)
         terms.append(term)
     return {"constant": expr.constant, "terms": terms}
 
@@ -411,6 +475,8 @@ def _add_term(t: dict, e: Expression) -> None:
         e.add_power(t["coef"], t["var"], t["exponent"])
     elif kind == "log":
         e.add_log(t["coef"], t["var"])
+    elif kind == "pwl":
+        e.add_pwl(t["coef"], t["var"], t["breakpoints"], t["values"])
     else:
         raise ValueError(f"unknown term kind {kind!r}")
 
@@ -474,6 +540,13 @@ def _disjunct_from_json(d: dict) -> Disjunct:
                     list(d.get("fix_to_zero", [])))
 
 
+def _literal(lit: dict) -> tuple[str, bool]:
+    if not isinstance(lit["polarity"], bool):
+        raise ValueError(f"polarity must be true or false, "
+                         f"got {lit['polarity']!r}")
+    return lit["bool"], lit["polarity"]
+
+
 def model_from_json(obj: dict) -> GdpModel:
     model = GdpModel(obj["sense"])
     for k, v in enumerate(obj["variables"]):
@@ -486,8 +559,10 @@ def model_from_json(obj: dict) -> GdpModel:
         model.add_disjunction(Disjunction(
             [_read(f"disjunction {k}: disjunct", i, _disjunct_from_json, d)
              for i, d in enumerate(disjuncts)], dj.get("label", "")))
-    for cl in obj.get("logic", []):
-        model.add_logic(LogicClause([(lit["bool"], bool(lit["polarity"])) for lit in cl]))
+    for k, cl in enumerate(obj.get("logic", [])):
+        model.add_logic(LogicClause([_read(f"logic clause {k}: literal", i,
+                                           _literal, lit)
+                                     for i, lit in enumerate(cl)]))
     return model
 
 

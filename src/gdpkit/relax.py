@@ -2,10 +2,11 @@
 
 Each nonlinear term gets a fresh auxiliary variable tied down by valid
 linear rows over the current box: the four McCormick rows for products
-(secant plus endpoint tangents for squares), and secant-below /
-tangents-above rows for concave powers and logs. Shrinking the box can
-only tighten the result; a degenerate box forces the auxiliary to the
-exact term value.
+(secant plus endpoint tangents for squares), secant-below /
+tangents-above rows for concave powers and logs, and the convex hull
+of a concave table's graph for piecewise-linear terms. Shrinking the
+box can only tighten the result; a degenerate box forces the auxiliary
+to the exact term value.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (SENSE_GE, SENSE_LE, DomainError, Expression,
+from .model import (SENSE_GE, SENSE_LE, DomainError, Expression, pwl_value,
                     term_interval, term_value)
 from .lp import LinearProgram
 from .transforms import FlatModel
@@ -115,6 +116,28 @@ def concave_envelope(kind: str, bounds, exponent: float | None = None
     return EnvelopeRows(rows)
 
 
+def pwl_envelope(table, bounds) -> EnvelopeRows:
+    """Convex hull of a concave table's graph over [L, U]: the chord
+    below, and above it the line of each segment that meets (L, U).
+
+    Once [L, U] lies inside one segment the chord is that segment's
+    line, so the rows pin w to the table.
+    """
+    lo, up = float(bounds[0]), float(bounds[1])
+    if not up - lo > 1e-12:
+        raise ValueError(f"degenerate envelope domain [{lo}, {up}]")
+    f_lo, f_up = pwl_value(table, lo), pwl_value(table, up)
+    slope = (f_up - f_lo) / (up - lo)
+    rows = [EnvelopeRow({"w": 1.0, "x": -slope}, SENSE_GE, f_lo - slope * lo)]
+    xs, ys = table
+    for k in range(len(xs) - 1):
+        if xs[k] < up and xs[k + 1] > lo:
+            g = (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
+            rows.append(EnvelopeRow({"w": 1.0, "x": -g}, SENSE_LE,
+                                    ys[k] - g * xs[k]))
+    return EnvelopeRows(rows)
+
+
 # -- whole-model relaxation --------------------------------------------
 
 
@@ -169,7 +192,8 @@ def build_lp_relaxation(flat: FlatModel, lo, hi) -> LinearProgram:
                                      square=(v == arg))
             symbol_cols = {"w": col, "x": v, "y": arg}
         elif hi[v] - lo[v] > 1e-12:
-            env = concave_envelope(kind, (lo[v], hi[v]), exponent=arg)
+            env = (pwl_envelope(arg, (lo[v], hi[v])) if kind == "pwl" else
+                   concave_envelope(kind, (lo[v], hi[v]), exponent=arg))
             symbol_cols = {"w": col, "x": v}
         else:
             continue  # a degenerate box: the aux bounds pin the value

@@ -23,6 +23,7 @@ from gdpkit.wtn import (
 )
 
 import test_bnb
+import test_wtn
 
 
 def _report(number: int, description: str, ok: bool):
@@ -246,13 +247,16 @@ def test_criterion_7_synthetic_network_end_to_end(wtn_runs):
 
 
 def test_criterion_8_termination_policy(wtn_runs):
-    _, gdp, runs = wtn_runs
+    _, _, runs = wtn_runs
     quad = runs["quad"]["result"]
     gap_ok = (quad.status == "optimal"
               and relative_gap(quad.objective, quad.bound) <= 1e-4)
 
-    policy = ApproxPolicy(method="pwl", n_segments=101)
-    approxed, _ = apply_approximation(gdp, policy)
+    # the 5x4x4 network under quad: a root bound of 0 and no incumbent
+    # within the limit
+    approxed, _ = apply_approximation(
+        build_wtn_gdp(parse_wtn_data(test_wtn.large_network())),
+        ApproxPolicy(method="quad"))
     flat = bigm_transform(approxed)
     limit = 15.0
     t0 = time.monotonic()

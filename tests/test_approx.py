@@ -5,10 +5,10 @@ from gdpkit.approx import (
     ApproxPolicy,
     apply_approximation,
     build_pwl,
-    encode_pwl_incremental,
     fit_quadratic,
 )
-from gdpkit.model import Constraint, Disjunct, Disjunction, Expression, GdpModel
+from gdpkit.model import (Constraint, Disjunct, Disjunction, Expression,
+                          GdpModel, load_model, save_model)
 from gdpkit.transforms import FlatModel
 
 
@@ -97,106 +97,6 @@ def test_pwl_grid_error_frozen_and_decreasing():
     assert err_fine < err_coarse
 
 
-def _table_host(n_segments, lower=0.0, upper=1.0):
-    flat = FlatModel(sense="min")
-    x = flat.add_variable("x", lower, upper)
-    out = flat.add_variable("out", -100.0, 100.0)
-    table = build_pwl(lambda v: np.asarray(v) ** 0.7, lower, upper, n_segments)
-    return flat, table, x, out
-
-
-def test_encode_single_segment():
-    flat, table, x, out = _table_host(1)
-    enc = encode_pwl_incremental(table, x, out, flat, "p")
-    assert len(enc.deltas) == 1
-    assert enc.binaries == []
-    assert [r.sense for r in enc.rows] == ["=", "="]
-
-
-def test_encode_101_segments_sizes():
-    flat, table, x, out = _table_host(101)
-    enc = encode_pwl_incremental(table, x, out, flat, "p")
-    assert len(enc.deltas) == 101
-    assert len(enc.binaries) == 100
-    assert len(enc.rows) == 2 * 100 + 2
-
-
-def test_encode_bound_mismatch_rejected():
-    flat = FlatModel(sense="min")
-    x = flat.add_variable("x", 0.0, 2.0)
-    out = flat.add_variable("out", 0.0, 10.0)
-    table = build_pwl(lambda v: np.asarray(v) ** 0.7, 0.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        encode_pwl_incremental(table, x, out, flat, "p")
-
-
-def _encoding_point(flat, enc, deltas, binaries):
-    point = np.zeros(len(flat.variables))
-    for vid, val in zip(enc.deltas, deltas):
-        point[vid] = val
-    for vid, val in zip(enc.binaries, binaries):
-        point[vid] = val
-    return point
-
-
-def test_encode_hand_evaluated_fill():
-    flat, table, x, out = _table_host(8)
-    enc = encode_pwl_incremental(table, x, out, flat, "p")
-    deltas = [1.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]
-    binaries = [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    point = _encoding_point(flat, enc, deltas, binaries)
-    widths = np.diff(table.breakpoints)
-    rises = np.diff(table.values)
-    x_val = table.breakpoints[0] + float(widths @ deltas)
-    out_val = table.values[0] + float(rises @ deltas)
-    point[x] = x_val
-    point[out] = out_val
-    # 2.5 segments of width 1/8
-    assert x_val == pytest.approx(2.5 / 8.0, abs=1e-12)
-    assert out_val == pytest.approx(float(table.interpolate(x_val)), abs=1e-12)
-    for row in enc.rows:
-        assert row.violation(point) <= 1e-9
-
-
-def test_encode_random_fills_land_on_interpolant():
-    rng = np.random.default_rng(17)
-    flat, table, x, out = _table_host(9)
-    enc = encode_pwl_incremental(table, x, out, flat, "p")
-    widths = np.diff(table.breakpoints)
-    rises = np.diff(table.values)
-    for _ in range(100):
-        k = int(rng.integers(0, 9))
-        frac = float(rng.uniform(0, 1))
-        deltas = np.zeros(9)
-        deltas[:k] = 1.0
-        deltas[k] = frac
-        binaries = np.zeros(8)
-        binaries[:k] = 1.0
-        point = _encoding_point(flat, enc, deltas, binaries)
-        point[x] = table.breakpoints[0] + float(widths @ deltas)
-        point[out] = table.values[0] + float(rises @ deltas)
-        for row in enc.rows:
-            assert row.violation(point) <= 1e-9
-        assert point[out] == pytest.approx(
-            float(table.interpolate(point[x])), abs=1e-9)
-
-
-def test_encode_every_x_has_canonical_fill():
-    flat, table, x, out = _table_host(9)
-    widths = np.diff(table.breakpoints)
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        target = float(rng.uniform(0, 1))
-        filled = 0.0
-        deltas = np.zeros(9)
-        for k in range(9):
-            step = min(max((target - filled) / widths[k], 0.0), 1.0)
-            deltas[k] = step
-            filled += step * widths[k]
-        assert filled == pytest.approx(target, abs=1e-9)
-        assert all(deltas[k + 1] <= deltas[k] + 1e-12 for k in range(8))
-
-
 def disjunct_power_model():
     m = GdpModel()
     x = m.add_variable("x", 0.0, 2.0)
@@ -236,31 +136,48 @@ def test_apply_quad_keeps_model_size():
     assert out.globals[0].body.linear == m.globals[0].body.linear
 
 
-def test_apply_pwl_adds_rows_inside_owning_disjunct():
+def test_apply_pwl_keeps_the_term_in_its_row():
     m = disjunct_power_model()
     out, report = apply_approximation(m, ApproxPolicy(method="pwl",
                                                       n_segments=101))
-    assert len(out.variables) == len(m.variables) + 1 + 101 + 100
+    assert len(out.variables) == len(m.variables)
+    assert sum(v.kind == "binary" for v in out.variables) == 0
     entry = report[0]
-    assert entry["added_continuous"] == 102
-    assert entry["added_binary"] == 100
+    assert (entry["added_continuous"], entry["added_binary"],
+            entry["added_constraints"]) == (0, 0, 0)
     on = out.disjunctions[0].disjuncts[0]
-    assert len(on.constraints) == 1 + entry["added_constraints"]
-    assert all(c.body.is_linear() for c in on.constraints)
+    assert len(on.constraints) == 1
+    [(kind, coef, vid, (xs, ys))] = on.constraints[0].body.terms
+    assert (kind, coef, vid) == ("pwl", -3.0, m.var_id("x"))
+    assert len(xs) == len(ys) == 102
+    assert (xs[0], xs[-1]) == (0.0, 2.0)
+    table = build_pwl(lambda v: np.asarray(v) ** 0.7, 0.0, 2.0, 101)
+    assert xs == tuple(table.breakpoints) and ys == tuple(table.values)
     # the idle disjunct and the globals are untouched
     assert len(out.disjunctions[0].disjuncts[1].constraints) == 1
     assert len(out.globals) == len(m.globals)
 
 
-def test_apply_pwl_objective_terms_become_globals():
+def test_apply_pwl_objective_term_stays_in_objective():
     m = GdpModel()
     x = m.add_variable("x", 1.0, 4.0)
     m.objective.add_log(2.0, x)
-    out, report = apply_approximation(m, ApproxPolicy(method="pwl",
-                                                      n_segments=5))
-    assert out.objective.terms == []
-    assert len(out.objective.linear) == 1
-    assert len(out.globals) == 2 * 4 + 2
+    out, _ = apply_approximation(m, ApproxPolicy(method="pwl", n_segments=5))
+    assert [t[:3] for t in out.objective.terms] == [("pwl", 2.0, x)]
+    assert out.objective.linear == [] and out.globals == []
+    assert out.validate().ok
+
+
+def test_approximated_model_round_trips_byte_for_byte():
+    m = disjunct_power_model()
+    m.objective.add_log(0.5, m.add_variable("z", 1.0, 4.0))
+    for policy in (ApproxPolicy(method="pwl", n_segments=21),
+                   ApproxPolicy(method="quad")):
+        out, _ = apply_approximation(m, policy)
+        text = save_model(out)
+        again = load_model(text)
+        assert save_model(again) == text
+        assert again.objective.terms == out.objective.terms
 
 
 def test_apply_rejects_unbounded_variable():

@@ -9,6 +9,8 @@ from gdpkit.model import (Constraint, Disjunct, Disjunction, Expression,
                           GdpModel, load_model, model_to_json,
                           save_model)
 
+import test_wtn
+
 REPO = Path(__file__).resolve().parent.parent
 INSTANCE = REPO / "instances" / "wtn_small.json"
 
@@ -59,6 +61,13 @@ def test_wtn_requires_approximation():
 
 def test_missing_file_is_usage_error(tmp_path):
     assert run(["--model", str(tmp_path / "nope.json")]) == 1
+
+
+def test_directory_input_is_usage_error(tmp_path, capsys):
+    for flag in ("--model", "--wtn"):
+        assert run([flag, str(tmp_path), "--approx", "quad"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gdpkit: error: cannot read")
 
 
 def _unit(**changes):
@@ -189,8 +198,11 @@ def test_infeasible_report_is_strict_json(tmp_path):
 
 
 def test_time_limit_exit_code(tmp_path):
+    # the 5x4x4 network under quad has no incumbent after a second
+    instance = tmp_path / "large.json"
+    instance.write_text(json.dumps(test_wtn.large_network()))
     out = tmp_path / "report.json"
-    code = run(["--wtn", str(INSTANCE), "--approx", "pwl", "--segments", "101",
+    code = run(["--wtn", str(instance), "--approx", "quad",
                 "--time-limit", "1", "--out", str(out)])
     assert code == 3
     report = json.loads(out.read_text())
@@ -260,3 +272,23 @@ def test_bad_numeric_flags_are_usage_errors(flag, capsys):
     assert err.startswith("gdpkit: error:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_saved_pwl_model_solves_without_approximation(tmp_path):
+    # an approximated model keeps its tables as pwl terms, so its file
+    # solves as is, to the objective the pwl pipeline reaches
+    from gdpkit.approx import ApproxPolicy, apply_approximation
+    from gdpkit.wtn import build_wtn_gdp, load_wtn_data
+    gdp = build_wtn_gdp(load_wtn_data(INSTANCE))
+    model = tmp_path / "model.json"
+    model.write_text(save_model(apply_approximation(
+        gdp, ApproxPolicy("pwl", n_segments=21))[0]))
+    reports = []
+    for argv in (["--model", str(model), "--approx", "none"],
+                 ["--wtn", str(INSTANCE), "--approx", "pwl", "--segments", "21"]):
+        out = tmp_path / "report.json"
+        assert run(argv + ["--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text())["result"])
+    assert reports[0]["status"] == "optimal"
+    assert reports[0]["objective"] == reports[1]["objective"]
+    assert reports[0]["nodes"] == reports[1]["nodes"]

@@ -193,7 +193,8 @@ def _basis_solve(sx):
 
 def _shipped_network_lps(policy):
     """Root relaxation of the shipped network under policy, then the
-    same box with each binary fixed to 0 and to 1 in turn."""
+    same box with each binary fixed to 0 and to 1 in turn, then with
+    each variable of a nonlinear term cut to either half of its range."""
     model, _ = apply_approximation(
         build_wtn_gdp(load_wtn_data(INSTANCE)), policy)
     flat = bigm_transform(model)
@@ -207,6 +208,12 @@ def _shipped_network_lps(policy):
             lo_k, hi_k = lo.copy(), hi.copy()
             lo_k[v.id] = hi_k[v.id] = value
             lps.append(build_lp_relaxation(flat, lo_k, hi_k))
+    split = sorted({vid for t in lps[0].aux_terms for vid in t.participants()})
+    for vid in split:
+        lo_k, hi_k = lo.copy(), hi.copy()
+        lo_k[vid] = hi_k[vid] = 0.5 * (lo[vid] + hi[vid])
+        lps.append(build_lp_relaxation(flat, lo, hi_k))
+        lps.append(build_lp_relaxation(flat, lo_k, hi))
     return lps
 
 
@@ -219,7 +226,7 @@ def test_tableau_matches_basis_solve_without_refactor(monkeypatch):
     rng = np.random.default_rng(101)
     network_root = _shipped_network_lps(
         ApproxPolicy(method="pwl", n_segments=21))[0]
-    assert network_root.A.shape == (256, 156)
+    assert network_root.A.shape == (212, 74)
     pivots = 0
     for lp in [_random_lp(rng) for _ in range(40)] + [network_root]:
         sx = _Simplex(lp)
@@ -248,7 +255,7 @@ def test_restricted_update_walks_the_full_row_update_path(monkeypatch):
     # the same pivots to the same point and the same tableau
     lps = (_shipped_network_lps(ApproxPolicy(method="quad"))
            + _shipped_network_lps(ApproxPolicy(method="pwl", n_segments=21)))
-    assert len(lps) == 98
+    assert len(lps) == 162
     rng = np.random.default_rng(101)
     lps += [_random_lp(rng) for _ in range(40)]
     statuses = set()
@@ -282,11 +289,11 @@ def _zero_basic_artificial_row(sx):
 def test_shipped_network_lps_match_highs(monkeypatch):
     # phase 2 starts from the basis phase 1 ends with; HiGHS is the
     # independent oracle on every node LP of the shipped network's
-    # one-binary boxes, including those where phase 1 leaves a basic
-    # artificial at 0
+    # one-binary and one-split boxes, including those where phase 1
+    # leaves a basic artificial at 0
     lps = (_shipped_network_lps(ApproxPolicy(method="quad"))
            + _shipped_network_lps(ApproxPolicy(method="pwl", n_segments=21)))
-    assert len(lps) == 98
+    assert len(lps) == 162
     run_phase = _Simplex._run_phase
     after_phase1 = []
 
@@ -314,7 +321,7 @@ def test_start_basis_is_the_identity():
     lps = [_random_lp(rng) for _ in range(40)]
     lps += (_shipped_network_lps(ApproxPolicy(method="quad"))
             + _shipped_network_lps(ApproxPolicy(method="pwl", n_segments=21)))
-    assert len(lps) == 138
+    assert len(lps) == 202
     for lp in lps:
         sx = _Simplex(lp)
         assert np.array_equal(sx.A_full[:, sx.start_basis], np.eye(sx.m))

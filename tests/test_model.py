@@ -238,3 +238,114 @@ def test_json_preserves_terms_and_logic():
     row = dj2.disjuncts[0].constraints[0]
     assert row.body.terms == [("pow", -3.0, 0, 0.7), ("log", -1.0, 1, None)]
     assert m2.logic[0].literals == [("on", True), ("off", True)]
+
+
+def test_string_polarity_rejected():
+    m, _ = minimal_model()
+    m.add_disjunction(Disjunction([Disjunct("a"), Disjunct("b")], "pick"))
+    m.add_logic(LogicClause([("a", False)]))
+    obj = json.loads(save_model(m))
+    assert load_model(json.dumps(obj)).logic[0].literals == [("a", False)]
+    for bad in ("false", 0, None):
+        obj["logic"][0][0]["polarity"] = bad
+        with pytest.raises(ValueError,
+                           match="logic clause 0: literal 0: polarity"):
+            load_model(json.dumps(obj))
+
+
+# -- piecewise-linear terms --------------------------------------------
+
+def concave_tables():
+    """A pow 0.7 table over [0, 4] and a log table over [0.5, 6]."""
+    xs = np.linspace(0.0, 4.0, 9)
+    yield tuple(xs), tuple(xs**0.7)
+    xs = np.linspace(0.5, 6.0, 12)
+    yield tuple(xs), tuple(np.log(xs))
+
+
+def test_pwl_value_interpolates_and_checks_its_domain():
+    table = ((0.0, 1.0, 3.0), (0.0, 2.0, 3.0))
+    assert term_value("pwl", [0.5], 0, table) == 1.0
+    assert term_value("pwl", [1.0], 0, table) == 2.0
+    assert term_value("pwl", [2.0], 0, table) == 2.5
+    assert term_value("pwl", [3.0], 0, table) == 3.0
+    for x in (-1e-9, 3.0 + 1e-9):
+        with pytest.raises(DomainError):
+            term_value("pwl", [x], 0, table)
+    with pytest.raises(DomainError):
+        term_interval("pwl", [-1.0], [1.0], 0, table)
+    for xs, ys in concave_tables():
+        grid = np.linspace(xs[0], xs[-1], 257)
+        ours = [term_value("pwl", [x], 0, (xs, ys)) for x in grid]
+        np.testing.assert_allclose(ours, np.interp(grid, xs, ys),
+                                   rtol=0.0, atol=1e-12)
+
+
+def test_pwl_interval_is_exact_on_random_boxes():
+    rng = np.random.default_rng(11)
+    for table in concave_tables():
+        xs = table[0]
+        for _ in range(200):
+            lo, hi = np.sort(rng.uniform(xs[0], xs[-1], 2))
+            if rng.random() < 0.3:  # inside one segment
+                k = int(rng.integers(0, len(xs) - 1))
+                lo, hi = np.sort(rng.uniform(xs[k], xs[k + 1], 2))
+            tlo, thi = term_interval("pwl", [lo], [hi], 0, table)
+            grid = np.concatenate([np.linspace(lo, hi, 401),
+                                   [x for x in xs if lo <= x <= hi]])
+            vals = np.interp(grid, *table)
+            assert tlo - 1e-12 <= vals.min() and vals.max() <= thi + 1e-12
+            assert vals.min() == pytest.approx(tlo, abs=1e-12)
+            assert vals.max() == pytest.approx(thi, abs=1e-12)
+
+
+def test_pwl_json_round_trip_byte_identical():
+    m, x = minimal_model()
+    xs, ys = next(concave_tables())
+    m.variables[x].upper = 4.0
+    m.objective.add_pwl(2.0, x, xs, ys)
+    text = save_model(m)
+    term = json.loads(text)["objective"]["terms"][1]
+    assert term == {"kind": "pwl", "coef": 2.0, "var": x,
+                    "breakpoints": list(xs), "values": list(ys)}
+    again = load_model(text)
+    assert again.objective.terms == [("pwl", 2.0, x, (xs, ys))]
+    assert save_model(again) == text
+    assert again.validate().ok
+
+
+BAD_TABLES = {
+    "one breakpoint": ((0.0,), (0.0,)),
+    "unordered": ((0.0, 2.0, 1.0), (0.0, 1.0, 2.0)),
+    "repeated": ((0.0, 1.0, 1.0), (0.0, 1.0, 2.0)),
+    "lengths": ((0.0, 1.0, 2.0), (0.0, 1.0)),
+    "convex": ((0.0, 1.0, 2.0), (0.0, 1.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TABLES))
+def test_bad_pwl_table_rejected(name):
+    xs, ys = BAD_TABLES[name]
+    with pytest.raises(ValueError):
+        Expression().add_pwl(1.0, 0, xs, ys)
+
+    m, x = minimal_model()
+    m.objective.terms.append(("pwl", 1.0, x, (xs, ys)))
+    problems = m.validate().problems
+    assert len(problems) == 1
+    assert problems[0].startswith("pwl table: 'x': ")
+    assert problems[0].endswith(" in objective")
+
+    obj = json.loads(save_model(minimal_model()[0]))
+    obj["objective"]["terms"].append({"kind": "pwl", "coef": 1.0, "var": 0,
+                                      "breakpoints": list(xs),
+                                      "values": list(ys)})
+    with pytest.raises(ValueError, match="^model: objective: term 1: "):
+        load_model(json.dumps(obj))
+
+
+def test_pwl_box_outside_the_table_flagged():
+    m, x = minimal_model()
+    m.objective.add_pwl(1.0, x, (0.0, 0.5), (0.0, 1.0))
+    [problem] = m.validate().problems
+    assert problem.startswith("pwl domain: 'x': ")

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from gdpkit.lp import lp_solve
-from gdpkit.model import Constraint, DomainError, Expression, interval_eval
+from gdpkit.model import (Constraint, DomainError, Expression, interval_eval,
+                          term_interval)
 from gdpkit.relax import (
     build_lp_relaxation,
     concave_envelope,
     envelope_violations,
     mccormick_bilinear,
+    pwl_envelope,
 )
 from gdpkit.transforms import FlatModel
 
@@ -135,6 +137,61 @@ def test_envelope_soundness_random_sample():
         for x in rng.uniform(lo, up, 25):
             for row in env.rows:
                 assert row.residual(f(x), x) <= 1e-9
+
+
+def _tables():
+    """Tables of x**0.7 over [0, 4] and of log over [0.5, 6]."""
+    xs = np.linspace(0.0, 4.0, 9)
+    yield (tuple(xs), tuple(xs**0.7))
+    xs = np.linspace(0.5, 6.0, 12)
+    yield (tuple(xs), tuple(np.log(xs)))
+
+
+def test_pwl_envelope_soundness_random_boxes():
+    # the table lies between the rows on any sub-box; inside one segment
+    # the rows admit the table's value and nothing else
+    rng = np.random.default_rng(2024)
+    straddling = inside = 0
+    for table in _tables():
+        xs = np.array(table[0])
+        for _ in range(300):
+            if rng.random() < 0.5:
+                lo, up = np.sort(rng.uniform(xs[0], xs[-1], 2))
+            else:
+                k = int(rng.integers(0, len(xs) - 1))
+                lo, up = np.sort(rng.uniform(xs[k], xs[k + 1], 2))
+            if up - lo <= 1e-9:
+                continue
+            env = pwl_envelope(table, (lo, up))
+            one_segment = not np.any((lo < xs) & (xs < up))
+            inside += one_segment
+            straddling += not one_segment
+            assert len(env.rows) == 1 + np.count_nonzero(
+                (xs[:-1] < up) & (xs[1:] > lo))
+            for x in rng.uniform(lo, up, 25):
+                w = float(np.interp(x, *table))
+                for row in env.rows:
+                    assert row.residual(w, x) <= 1e-9
+                wlo, whi = admitted_w(env.rows, x, 0.0)
+                assert wlo - 1e-9 <= w <= whi + 1e-9
+                if one_segment:
+                    assert whi - wlo <= 1e-9
+    assert straddling > 100 and inside > 100
+
+
+def test_pwl_relaxation_is_tight_at_the_ends_of_its_range():
+    # the hull's lowest and highest points are the table's, so minimizing
+    # and maximizing the term alone give its exact range
+    for table in _tables():
+        for lo, up in ((table[0][0], table[0][-1]), (1.1, 3.3), (2.2, 2.4)):
+            flat = FlatModel(sense="min")
+            x = flat.add_variable("x", lo, up)
+            tlo, thi = term_interval("pwl", [lo], [up], x, table)
+            for coef, best in ((1.0, tlo), (-1.0, -thi)):
+                flat.objective = Expression().add_pwl(coef, x, *table)
+                sol = lp_solve(build_lp_relaxation(flat, [lo], [up]))
+                assert sol.status == "optimal"
+                assert sol.objective == pytest.approx(best, abs=1e-9)
 
 
 def linear_flat():

@@ -60,10 +60,11 @@ def test_missing_field_rejected():
         parse_wtn_data(raw)
 
 
-def test_five_feed_four_contaminant_four_unit_instance():
+def large_network():
+    """A 5-feed / 4-contaminant / 4-unit instance."""
     rng = np.random.default_rng(4)
     contaminants = ["A", "B", "C", "D"]
-    raw = {
+    return {
         "contaminants": contaminants,
         "feeds": {
             f"f{i}": {"flow": float(rng.uniform(5, 20)),
@@ -79,7 +80,10 @@ def test_five_feed_four_contaminant_four_unit_instance():
         },
         "limits": {j: 10.0 for j in contaminants},
     }
-    data = parse_wtn_data(raw)
+
+
+def test_five_feed_four_contaminant_four_unit_instance():
+    data = parse_wtn_data(large_network())
     assert len(data.feed_flow) == 5
     assert len(data.contaminants) == 4
     assert len(data.units) == 4
