@@ -48,8 +48,8 @@ class SolveResult:
     status is one of optimal, feasible, infeasible, time_limit (plus
     unknown for the corner where a limit stopped the search before any
     incumbent or infeasibility proof existed). parked counts nodes left
-    unexplored, after a failed LP re-split or with nothing to branch on;
-    their bounds stay in bound.
+    unexplored, after a failed LP re-split, with nothing to branch on, or
+    with its LP stopped by the time limit; their bounds stay in bound.
     """
 
     status: str
@@ -229,7 +229,7 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
         if node.bound >= z:
             continue
         lp = build_lp_relaxation(work, node.lo, node.hi)
-        sol = lp_solve(lp)
+        sol = lp_solve(lp, deadline=t0 + time_limit)
         nodes_done += 1
         if sol.status == "optimal":
             node_bound = max(node.bound, sol.objective)
@@ -247,6 +247,10 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
                     for kid in _children(node, decision):
                         kid.bound = node_bound
                         push(kid)
+        elif sol.status == "time_limit":
+            unexplored.append(node.bound)
+            stop = "time_limit"
+            break
         elif sol.status != "infeasible":
             decision = _midsplit_decision(node, work, lp)
             if node.resplit or decision is None:

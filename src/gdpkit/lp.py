@@ -12,12 +12,20 @@ at every pivot. A pivot rewrites only the block of T where the pivot
 column's rows and the pivot row's columns are both nonzero; every other
 cell would only subtract zero.
 
+T is the only m x k array a solve keeps. The standard-form matrix A
+is stored as its parts: the scaled, sign-normalized m x n row block
+over the structural columns, and for each slack or artificial column
+the one row it sits in and its sign there. Residuals are formed from
+those parts, and the full matrix is rebuilt only when T is refactored.
+
 The simplex uses numpy alone: a second BLAS library (scipy bundles its
 own OpenBLAS) would run its threads against numpy's on every pivot.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,15 +59,24 @@ class LinearProgram:
             raise ValueError(f"{len(self.senses)} row senses for "
                              f"{len(self.b)} rows")
         self.c = np.asarray(self.c, dtype=float)
-        self.A = np.asarray(self.A, dtype=float).reshape(len(self.b), len(self.c))
+        self.A = np.asarray(self.A, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
         self.lo = np.asarray(self.lo, dtype=float)
         self.hi = np.asarray(self.hi, dtype=float)
+        shape = (len(self.b), len(self.c))
+        if self.A.shape != shape:
+            raise ValueError(f"A has shape {self.A.shape}, expected {shape} "
+                             f"for {shape[0]} rows and {shape[1]} columns")
+        for name, bound in (("lo", self.lo), ("hi", self.hi)):
+            if bound.shape != (shape[1],):
+                raise ValueError(f"{name} has shape {bound.shape}, expected "
+                                 f"({shape[1]},) for {shape[1]} columns")
 
 
 @dataclass
 class LpSolution:
-    status: str  # optimal | infeasible | iteration_limit | numerical
+    # optimal | infeasible | iteration_limit | numerical | time_limit
+    status: str
     x: np.ndarray | None
     objective: float | None
     max_violation: float
@@ -67,8 +84,9 @@ class LpSolution:
 
 
 class _Simplex:
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, deadline: float | None = None):
         self.lp = lp
+        self.deadline = math.inf if deadline is None else deadline
         m, n = lp.A.shape
         self.n_struct = n
         self.m = m
@@ -99,8 +117,7 @@ class _Simplex:
         # value over the box, or its start value where rounding puts
         # that higher.
         resid = b - A @ lp.lo
-        row_min = (np.where(A > 0, A, 0.0) @ lp.lo
-                   + np.where(A < 0, A, 0.0) @ lp.hi)
+        row_min = np.maximum(A, 0.0) @ lp.lo + np.minimum(A, 0.0) @ lp.hi
         slack_up = np.maximum(np.maximum(0.0, b - row_min), resid)
         ineq = ~self.eq
         art = self.eq | (resid < 0.0)
@@ -115,13 +132,16 @@ class _Simplex:
         beta = np.abs(resid)
 
         # rows whose artificial starts from a negative residual are
-        # negated, so the starting basis is the identity
-        self.A_full = np.zeros((m, k))
-        self.A_full[:, :n] = A
-        self.A_full[ineq, slack_col[ineq]] = 1.0
-        self.A_full[negative] *= -1.0
-        self.A_full[art, basis[art]] = 1.0
+        # negated, so the starting basis is the identity: a slack is
+        # +1 or -1 in its row, an artificial +1
+        A[negative] *= -1.0
         b[negative] *= -1.0
+        self.rows = A
+        self.logical_row = np.concatenate([np.flatnonzero(ineq),
+                                           np.flatnonzero(art)])
+        self.logical_val = np.ones(k - n)
+        self.logical_val[:self.first_art - n] = np.where(negative[ineq],
+                                                         -1.0, 1.0)
 
         self.lo = np.zeros(k)
         self.hi = np.zeros(k)
@@ -140,28 +160,49 @@ class _Simplex:
         self.where[basis] = IN_BASIS
         self.x[basis] = beta
 
-        # T = Binv @ A_full, and Binv is T's start columns at every pivot
+        # T = Binv A, and Binv is T's start columns at every pivot
         self.start_basis = basis.copy()
-        self.T = self.A_full.copy()
+        self.T = self._standard_matrix()
         self.n_pivots = 0
 
     # -- pivoting machinery -------------------------------------------
+
+    def _standard_matrix(self) -> np.ndarray:
+        """The m x k standard-form matrix A, rebuilt from its parts."""
+        n = self.n_struct
+        A = np.zeros((self.m, self.n_total))
+        A[:, :n] = self.rows
+        A[self.logical_row, np.arange(n, self.n_total)] = self.logical_val
+        return A
+
+    def _residual(self) -> np.ndarray:
+        """b - A x, without forming A."""
+        n = self.n_struct
+        logical = np.bincount(self.logical_row,
+                              self.logical_val * self.x[n:],
+                              minlength=self.m)
+        return self.b_std - (self.rows @ self.x[:n] + logical)
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         return cost - cost[self.basis] @ self.T
 
     def _refresh_basics(self):
         """Pull the incrementally updated basic values back onto the
-        rows with two residual corrections through Binv."""
-        binv = self.T[:, self.start_basis]
+        rows with two residual corrections through Binv. Binv's columns
+        are T's start-basis columns, all among the logical columns, so
+        the residual is scattered onto those and multiplied by T's
+        logical block in place."""
+        n = self.n_struct
+        z = np.zeros(self.n_total - n)
         for _ in range(2):
-            self.x[self.basis] += binv @ (self.b_std - self.A_full @ self.x)
+            z[self.start_basis - n] = self._residual()
+            self.x[self.basis] += self.T[:, n:] @ z
 
     def _refactor_tableau(self):
         """Rebuild T = Binv A from scratch to purge elimination error.
         Raises LinAlgError when the basis matrix is singular."""
-        B = self.A_full[:, self.basis]
-        self.T = np.linalg.solve(B, self.A_full)
+        A = self._standard_matrix()
+        self.T = np.linalg.solve(A[:, self.basis], A)
 
     def _eliminate(self, r: int, q: int):
         colq = self.T[:, q].copy()
@@ -169,14 +210,28 @@ class _Simplex:
         # node tableaus are sparse: a cell changes only where both the
         # pivot column and the pivot row are nonzero, so the update
         # rewrites that block and no other cell
-        rows = np.flatnonzero(colq)[:, None]
-        cols = np.flatnonzero(trow)
+        rows = colq.nonzero()[0][:, None]
+        cols = trow.nonzero()[0]
         self.T[rows, cols] -= colq[rows] * trow[cols]
         self.T[r] = trow
         return trow, cols
 
     def _run_phase(self, cost: np.ndarray) -> str:
-        movable = (self.hi - self.lo) > 0.0
+        """Pivot to optimality for one cost vector. The loop keeps the
+        basics' values and bounds in basis order (xb, blo, bhi) and
+        writes xb back to x before each refresh, so x is whole again
+        after an optimal return; on any other status it is dropped."""
+        m = self.m
+        lo, hi, x, where = self.lo, self.hi, self.x, self.where
+        basis = self.basis
+        movable = (hi - lo) > 0.0
+        # pricing sign: +1 at lower, -1 at upper, 0 for basic or fixed,
+        # so sign * d < 0 marks exactly the attractive columns
+        sign = np.where(where == AT_LOWER, 1.0, -1.0)
+        sign[(where == IN_BASIS) | ~movable] = 0.0
+        xb, blo, bhi = x[basis], lo[basis], hi[basis]
+        num = np.empty(m)
+        ratios = np.empty(m)
         d = self._reduced_costs(cost)
         bland = False
         degen_run = 0
@@ -187,62 +242,66 @@ class _Simplex:
         while True:
             if self.n_pivots >= MAX_PIVOTS:
                 return "iteration_limit"
+            if since_refresh == 0 and time.monotonic() > self.deadline:
+                return "time_limit"
 
-            attract = ((self.where == AT_LOWER) & (d < -RCOST_TOL)) | \
-                      ((self.where == AT_UPPER) & (d > RCOST_TOL))
-            attract &= movable
-            if not attract.any():
+            s = sign * d
+            if bland:
+                attract = s < -RCOST_TOL
+                q = int(attract.argmax())
+                done = not attract[q]
+            else:
+                q = int(s.argmin())
+                if math.isnan(s[q]):  # a NaN reduced cost never attracts
+                    s[np.isnan(s)] = 0.0
+                    q = int(s.argmin())
+                done = not s[q] < -RCOST_TOL
+            if done:
+                x[basis] = xb
                 self._refresh_basics()
                 return "optimal"
 
-            if bland:
-                q = int(np.argmax(attract))
-            else:
-                score = np.where(attract, np.abs(d), -1.0)
-                q = int(np.argmax(score))
-
-            direction = 1.0 if self.where[q] == AT_LOWER else -1.0
+            direction = sign[q]
             deltas = direction * self.T[:, q]
 
-            t_flip = self.hi[q] - self.lo[q]
-            ratios = np.full(self.m, np.inf)
-            xb = self.x[self.basis]
-            blo = self.lo[self.basis]
-            bhi = self.hi[self.basis]
+            t_flip = hi[q] - lo[q]
             up = deltas > RATIO_TOL
             dn = deltas < -RATIO_TOL
-            ratios[up] = (xb[up] - blo[up]) / deltas[up]
-            ratios[dn] = (xb[dn] - bhi[dn]) / deltas[dn]
+            np.subtract(xb, blo, out=num, where=up)
+            np.subtract(xb, bhi, out=num, where=dn)
+            ratios.fill(np.inf)
+            np.divide(num, deltas, out=ratios, where=up | dn)
             np.maximum(ratios, 0.0, out=ratios)
-            t_rows = float(ratios.min(initial=np.inf))
+            t_rows = float(np.minimum.reduce(ratios, initial=np.inf))
 
             if t_flip <= t_rows:
                 t = t_flip
-                self.x[q] = self.hi[q] if self.where[q] == AT_LOWER else self.lo[q]
-                self.where[q] = AT_UPPER if self.where[q] == AT_LOWER else AT_LOWER
-                self.x[self.basis] = xb - deltas * t
+                x[q] = hi[q] if direction > 0.0 else lo[q]
+                where[q] = AT_UPPER if direction > 0.0 else AT_LOWER
+                sign[q] = -direction
+                xb -= deltas * t
             else:
                 t = t_rows
-                tied = np.flatnonzero(np.abs(ratios - t) <= 1e-10)
+                tied = (np.abs(ratios - t) <= 1e-10).nonzero()[0]
                 if bland:
-                    r = int(tied[np.argmin(self.basis[tied])])
+                    r = int(tied[np.argmin(basis[tied])])
                 else:
                     r = int(tied[0])
                 piv = self.T[r, q]
                 if abs(piv) < PIVOT_TOL:
                     return "numerical"
 
-                leaving = int(self.basis[r])
-                self.x[self.basis] = xb - deltas * t
-                self.x[q] += direction * t
-                if deltas[r] > 0.0:
-                    self.where[leaving] = AT_LOWER
-                    self.x[leaving] = self.lo[leaving]
-                else:
-                    self.where[leaving] = AT_UPPER
-                    self.x[leaving] = self.hi[leaving]
-                self.basis[r] = q
-                self.where[q] = IN_BASIS
+                leaving = int(basis[r])
+                xb -= deltas * t
+                to_lower = deltas[r] > 0.0
+                where[leaving] = AT_LOWER if to_lower else AT_UPPER
+                x[leaving] = lo[leaving] if to_lower else hi[leaving]
+                sign[leaving] = (1.0 if to_lower else -1.0) * movable[leaving]
+                xb[r] = x[q] + direction * t
+                blo[r], bhi[r] = lo[q], hi[q]
+                basis[r] = q
+                where[q] = IN_BASIS
+                sign[q] = 0.0
 
                 trow, cols = self._eliminate(r, q)
                 dq = d[q]
@@ -252,18 +311,20 @@ class _Simplex:
             self.n_pivots += 1
             since_refresh += 1
             since_refactor += 1
-            moved += abs(t) * (1.0 + float(np.abs(deltas).max(initial=0.0)))
-            if since_refactor >= REFACTOR_EVERY:
+            largest = np.maximum.reduce(np.abs(deltas), initial=0.0)
+            moved += abs(t) * (1.0 + float(largest))
+            refactor = since_refactor >= REFACTOR_EVERY
+            if refactor:
                 try:
                     self._refactor_tableau()
                 except np.linalg.LinAlgError:
                     return "numerical"
+                since_refactor = 0
+            if refactor or since_refresh >= REFRESH_EVERY \
+                    or moved > MOVEMENT_BUDGET:
+                x[basis] = xb
                 self._refresh_basics()
-                d = self._reduced_costs(cost)
-                since_refactor = since_refresh = 0
-                moved = 0.0
-            elif since_refresh >= REFRESH_EVERY or moved > MOVEMENT_BUDGET:
-                self._refresh_basics()
+                xb = x[basis]
                 d = self._reduced_costs(cost)
                 since_refresh = 0
                 moved = 0.0
@@ -318,15 +379,18 @@ class _Simplex:
         return float(excess.max(initial=0.0))
 
 
-def lp_solve(lp: LinearProgram) -> LpSolution:
+def lp_solve(lp: LinearProgram, deadline: float | None = None) -> LpSolution:
     """Solve to optimality or report infeasible / breakdown.
 
     Deterministic: identical inputs walk identical pivot sequences.
-    Optimal solutions satisfy every row to within 1e-7.
+    Optimal solutions satisfy every row to within 1e-7. With a deadline
+    (a time.monotonic() value), the clock is read when each phase starts
+    and at every refresh of the basic values; once it has passed, the
+    solve stops with status time_limit.
     """
     if np.any(lp.lo > lp.hi + 1e-12):
         return LpSolution("infeasible", None, None,
                           float(np.max(lp.lo - lp.hi)), 0)
     if not (np.all(np.isfinite(lp.lo)) and np.all(np.isfinite(lp.hi))):
         raise ValueError("lp_solve requires finite variable bounds")
-    return _Simplex(lp).solve()
+    return _Simplex(lp, deadline).solve()

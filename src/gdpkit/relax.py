@@ -182,7 +182,7 @@ def build_lp_relaxation(flat: FlatModel, lo, hi) -> LinearProgram:
     aux_terms = []
     aux_lo = np.empty(n_aux)
     aux_hi = np.empty(n_aux)
-    env_rows: list[tuple[np.ndarray, str, float]] = []
+    env_rows: list[tuple[EnvelopeRow, dict[str, int]]] = []
 
     for (kind, v, arg), col in order.items():
         aux_terms.append(AuxTerm(col, kind, v, arg))
@@ -197,35 +197,35 @@ def build_lp_relaxation(flat: FlatModel, lo, hi) -> LinearProgram:
             symbol_cols = {"w": col, "x": v}
         else:
             continue  # a degenerate box: the aux bounds pin the value
-        for row in env.rows:
-            coefs = np.zeros(n)
-            for sym, cf in row.coefs.items():
-                coefs[symbol_cols[sym]] += cf
-            env_rows.append((coefs, row.sense, row.rhs))
+        env_rows.extend((row, symbol_cols) for row in env.rows)
 
-    def linearize(expr: Expression) -> np.ndarray:
-        coefs = np.zeros(n)
+    # one row block, filled with += onto zeros: a column that appears
+    # twice in a row sums its coefficients
+    n_con = len(flat.constraints)
+    A = np.zeros((n_con + len(env_rows), n))
+
+    def linearize(expr: Expression, coefs: np.ndarray) -> np.ndarray:
         for cf, v in expr.linear:
             coefs[v] += cf
         for kind, cf, v, arg in expr.terms:
             coefs[order[(kind, v, arg)]] += cf
         return coefs
 
-    rows = []
     senses = []
     rhs = []
-    for c in flat.constraints:
-        rows.append(linearize(c.body))
+    for coefs, c in zip(A, flat.constraints):
+        linearize(c.body, coefs)
         senses.append(c.sense)
         rhs.append(c.rhs - c.body.constant)
-    for coefs, sense, r in env_rows:
-        rows.append(coefs)
-        senses.append(sense)
-        rhs.append(r)
+    for coefs, (row, symbol_cols) in zip(A[n_con:], env_rows):
+        for sym, cf in row.coefs.items():
+            coefs[symbol_cols[sym]] += cf
+        senses.append(row.sense)
+        rhs.append(row.rhs)
 
     lp = LinearProgram(
-        c=linearize(flat.objective),
-        A=np.array(rows, dtype=float).reshape(len(rows), n),
+        c=linearize(flat.objective, np.zeros(n)),
+        A=A,
         senses=senses,
         b=np.array(rhs, dtype=float),
         lo=np.concatenate([lo, aux_lo]),

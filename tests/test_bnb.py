@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -223,11 +225,11 @@ def test_lp_failures_resplit_then_park(monkeypatch):
     real = lp_solve
     calls = {"n": 0}
 
-    def flaky(lp):
+    def flaky(lp, deadline=None):
         calls["n"] += 1
         if calls["n"] == 1:
             return LpSolution("numerical", None, None, 1.0, 0)
-        return real(lp)
+        return real(lp, deadline)
 
     monkeypatch.setattr(bnbmod, "lp_solve", flaky)
     res = solve_global(flat, gap=1e-4)
@@ -237,7 +239,7 @@ def test_lp_failures_resplit_then_park(monkeypatch):
 
 
 def test_failed_resplit_nodes_are_counted_as_parked(monkeypatch):
-    def broken(lp):
+    def broken(lp, deadline=None):
         return LpSolution("numerical", None, None, 1.0, 0)
 
     monkeypatch.setattr(bnbmod, "lp_solve", broken)
@@ -246,6 +248,30 @@ def test_failed_resplit_nodes_are_counted_as_parked(monkeypatch):
     assert res.status == "unknown"
     assert res.nodes == 3
     assert res.parked == 2
+
+
+def test_time_limit_inside_an_lp_stops_the_search(monkeypatch):
+    # the third node's LP sees its deadline already passed: the search
+    # stops there as time_limit and that node's bound stays open
+    real = lp_solve
+    deadlines = []
+
+    def late(lp, deadline=None):
+        deadlines.append(deadline)
+        return real(lp, 0.0 if len(deadlines) == 3 else deadline)
+
+    full = solve_global(neg_product_model(), gap=1e-4)
+    monkeypatch.setattr(bnbmod, "lp_solve", late)
+    t0 = time.monotonic()
+    res = solve_global(neg_product_model(), gap=1e-4, time_limit=60)
+    t1 = time.monotonic()
+    assert full.nodes > 3
+    assert len(deadlines) == 3
+    assert all(t0 + 60 <= d <= t1 + 60 for d in deadlines)
+    assert res.status == "time_limit"
+    assert res.nodes == 3
+    assert res.parked == 1
+    assert res.bound <= full.objective + 1e-9
 
 
 def random_instance(seed):

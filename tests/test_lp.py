@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,12 @@ from scipy.optimize import linprog
 import gdpkit
 import gdpkit.lp as lpmod
 from gdpkit import (ApproxPolicy, apply_approximation, bigm_transform,
-                    build_wtn_gdp, load_wtn_data)
+                    build_wtn_gdp, load_wtn_data, parse_wtn_data)
 from gdpkit.lp import LinearProgram, _Simplex, lp_solve
 from gdpkit.model import BINARY
 from gdpkit.relax import build_lp_relaxation
+
+import test_wtn
 
 REPO = Path(__file__).resolve().parent.parent
 INSTANCE = REPO / "instances" / "wtn_small.json"
@@ -86,6 +89,24 @@ def test_bound_only_minimization():
 def test_senses_must_match_rows(senses):
     with pytest.raises(ValueError, match=f"{len(senses)} row senses for 2 rows"):
         make_lp([1.0], [[1.0], [2.0]], senses, [1.0, 2.0], [0.0], [10.0])
+
+
+def test_mis_shaped_matrix_rejected():
+    # one row and two columns: a 2x1 A is not read as [[1, 2]]
+    with pytest.raises(ValueError, match=r"A has shape \(2, 1\), "
+                                         r"expected \(1, 2\)"):
+        LinearProgram(c=[1.0, 1.0], A=[[1.0], [2.0]], senses=["<="],
+                      b=[1.0], lo=[0.0, 0.0], hi=[1.0, 1.0])
+
+
+@pytest.mark.parametrize("name", ["lo", "hi"])
+def test_bound_length_must_match_columns(name):
+    args = dict(c=[1.0, 1.0], A=[[1.0, 2.0]], senses=["<="], b=[1.0],
+                lo=[0.0, 0.0], hi=[1.0, 1.0])
+    args[name] = [0.5]
+    with pytest.raises(ValueError, match=rf"{name} has shape \(1,\), "
+                                         rf"expected \(2,\)"):
+        LinearProgram(**args)
 
 
 def test_unknown_sense_rejected():
@@ -174,9 +195,10 @@ def test_no_improving_reduced_cost_at_termination():
         # independent recomputation of reduced costs from the basis
         cost = np.zeros(sx.n_total)
         cost[:sx.n_struct] = lp.c
-        B = sx.A_full[:, sx.basis]
+        A = sx._standard_matrix()
+        B = A[:, sx.basis]
         y = np.linalg.solve(B.T, cost[sx.basis])
-        d = cost - sx.A_full.T @ y
+        d = cost - A.T @ y
         at_lower = sx.where == 0
         at_upper = sx.where == 1
         movable = (sx.hi - sx.lo) > 0
@@ -186,9 +208,10 @@ def test_no_improving_reduced_cost_at_termination():
 
 def _basis_solve(sx):
     """Basic values from a fresh factorization of the final basis."""
+    A = sx._standard_matrix()
     nonbasic = np.setdiff1d(np.arange(sx.n_total), sx.basis)
-    rhs = sx.b_std - sx.A_full[:, nonbasic] @ sx.x[nonbasic]
-    return np.linalg.solve(sx.A_full[:, sx.basis], rhs)
+    rhs = sx.b_std - A[:, nonbasic] @ sx.x[nonbasic]
+    return np.linalg.solve(A[:, sx.basis], rhs)
 
 
 def _shipped_network_lps(policy):
@@ -219,7 +242,7 @@ def _shipped_network_lps(policy):
 
 def test_tableau_matches_basis_solve_without_refactor(monkeypatch):
     # the rank-1 update restricted to the pivot column's nonzero rows and
-    # the pivot row's nonzero columns must alone keep T = Binv A_full;
+    # the pivot row's nonzero columns must alone keep T = Binv A;
     # the network's root relaxation is sparse enough that most cells are
     # skipped, the random LPs are dense
     monkeypatch.setattr(lpmod, "REFACTOR_EVERY", 10**9)
@@ -232,7 +255,8 @@ def test_tableau_matches_basis_solve_without_refactor(monkeypatch):
         sx = _Simplex(lp)
         assert sx.solve().status == "optimal"
         pivots += sx.n_pivots
-        expected = np.linalg.solve(sx.A_full[:, sx.basis], sx.A_full)
+        A = sx._standard_matrix()
+        expected = np.linalg.solve(A[:, sx.basis], A)
         np.testing.assert_allclose(sx.T, expected, rtol=0.0, atol=1e-8)
         np.testing.assert_allclose(sx.x[sx.basis], _basis_solve(sx),
                                    rtol=0.0, atol=1e-9)
@@ -316,7 +340,7 @@ def test_shipped_network_lps_match_highs(monkeypatch):
 
 def test_start_basis_is_the_identity():
     # the start rows are signed so that the starting basis is I, which
-    # makes T = A_full at the start and T[:, start_basis] Binv after
+    # makes T = A at the start and T[:, start_basis] Binv after
     rng = np.random.default_rng(101)
     lps = [_random_lp(rng) for _ in range(40)]
     lps += (_shipped_network_lps(ApproxPolicy(method="quad"))
@@ -324,11 +348,35 @@ def test_start_basis_is_the_identity():
     assert len(lps) == 202
     for lp in lps:
         sx = _Simplex(lp)
-        assert np.array_equal(sx.A_full[:, sx.start_basis], np.eye(sx.m))
-        assert np.array_equal(sx.T, sx.A_full)
-        resid = np.abs(sx.A_full @ sx.x - sx.b_std)
+        A = sx._standard_matrix()
+        assert np.array_equal(A[:, sx.start_basis], np.eye(sx.m))
+        assert np.array_equal(sx.T, A)
+        resid = np.abs(A @ sx.x - sx.b_std)
         assert np.all(resid <= 1e-12 * np.maximum(1.0, np.abs(sx.b_std)))
         assert np.all((sx.lo <= sx.x) & (sx.x <= sx.hi))
+
+
+def test_tableau_is_the_only_m_by_k_array():
+    # the standard matrix is kept as its m x n row block and one
+    # (row, sign) per logical column; the residual built from those
+    # parts matches the rebuilt matrix, at the start and at the end
+    rng = np.random.default_rng(101)
+    lps = [_random_lp(rng) for _ in range(40)]
+    lps += (_shipped_network_lps(ApproxPolicy(method="quad"))
+            + _shipped_network_lps(ApproxPolicy(method="pwl", n_segments=21)))
+    assert len(lps) == 202
+    for lp in lps:
+        sx = _Simplex(lp)
+        big = sorted(name for name, value in vars(sx).items()
+                     if isinstance(value, np.ndarray) and value.ndim == 2
+                     and value.size >= sx.m * sx.n_total)
+        assert big == ["T"]
+        assert sx.rows.shape == (sx.m, sx.n_struct)
+        for _ in range(2):
+            expected = sx.b_std - sx._standard_matrix() @ sx.x
+            np.testing.assert_allclose(sx._residual(), expected,
+                                       rtol=0.0, atol=1e-12)
+            sx.solve()
 
 
 def test_refresh_pulls_drifted_basics_back():
@@ -352,6 +400,49 @@ def test_singular_refactor_reported_as_numerical(monkeypatch):
     monkeypatch.setattr(lpmod.np.linalg, "solve", singular)
     sol = lp_solve(make_lp([1.0], [[1.0]], [">="], [1.0], [0.0], [10.0]))
     assert sol.status == "numerical"
+
+
+def _large_network_root_lp():
+    flat = bigm_transform(apply_approximation(
+        build_wtn_gdp(parse_wtn_data(test_wtn.large_network())),
+        ApproxPolicy(method="quad"))[0])
+    lo = np.array([v.lower for v in flat.variables])
+    hi = np.array([v.upper for v in flat.variables])
+    return build_lp_relaxation(flat, lo, hi)
+
+
+def test_passed_deadline_stops_the_solve():
+    lp = _large_network_root_lp()
+    sol = lp_solve(lp, deadline=time.monotonic() - 1.0)
+    assert sol.status == "time_limit"
+    assert sol.x is None
+    assert sol.n_pivots <= lpmod.REFRESH_EVERY
+    assert lp_solve(lp, deadline=time.monotonic() + 600).status == "optimal"
+
+
+class _Clock:
+    """A time module whose monotonic() reads 0 once and then 1."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def monotonic(self):
+        self.calls += 1
+        return 0.0 if self.calls == 1 else 1.0
+
+
+def test_deadline_is_read_at_the_refresh_cadence(monkeypatch):
+    # the deadline passes after the phase-1 start check, so the solve
+    # runs on to its first refresh and stops there
+    lp = _large_network_root_lp()
+    assert lp_solve(lp).n_pivots > 16
+    monkeypatch.setattr(lpmod, "REFRESH_EVERY", 16)
+    clock = _Clock()
+    monkeypatch.setattr(lpmod, "time", clock)
+    sol = lp_solve(lp, deadline=0.5)
+    assert sol.status == "time_limit"
+    assert 0 < sol.n_pivots <= 16
+    assert clock.calls == 2
 
 
 def test_deterministic_pivot_sequence():
