@@ -4,9 +4,11 @@ Each nonlinear term gets a fresh auxiliary variable tied down by valid
 linear rows over the current box: the four McCormick rows for products
 (secant plus endpoint tangents for squares), secant-below /
 tangents-above rows for concave powers and logs, and the convex hull
-of a concave table's graph for piecewise-linear terms. Shrinking the
-box can only tighten the result; a degenerate box forces the auxiliary
-to the exact term value.
+of a concave table's graph for piecewise-linear terms. A product with
+a fixed factor (lo == hi) is linear over the box: it becomes a
+coefficient on the other factor, with no column and no rows. Shrinking
+the box can only tighten the result; a degenerate box forces any other
+auxiliary to the exact term value.
 """
 
 from __future__ import annotations
@@ -166,16 +168,26 @@ def build_lp_relaxation(flat: FlatModel, lo, hi) -> LinearProgram:
     Distinct nonlinear terms share one auxiliary column each, in order
     of first appearance; the map from columns back to terms rides along
     as lp.aux_terms so callers can measure envelope violations at the LP
-    point.
+    point. A product of two variables one of which the box fixes is
+    exact as a linear coefficient on the other (on var when both are
+    fixed), so it gets no column, no rows and no AuxTerm.
     """
     n0 = len(flat.variables)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    if lo.shape != (n0,) or hi.shape != (n0,):
+        raise ValueError(f"box has {lo.size} lower and {hi.size} upper "
+                         f"bounds for {n0} model variables")
+
+    def folds(kind, v, arg) -> bool:
+        return (kind == "bil" and v != arg
+                and (lo[v] == hi[v] or lo[arg] == hi[arg]))
 
     order: dict[tuple, int] = {}
     for expr in [flat.objective] + [c.body for c in flat.constraints]:
         for kind, _, v, arg in expr.terms:
-            order.setdefault((kind, v, arg), n0 + len(order))
+            if not folds(kind, v, arg):
+                order.setdefault((kind, v, arg), n0 + len(order))
     n_aux = len(order)
     n = n0 + n_aux
 
@@ -208,7 +220,13 @@ def build_lp_relaxation(flat: FlatModel, lo, hi) -> LinearProgram:
         for cf, v in expr.linear:
             coefs[v] += cf
         for kind, cf, v, arg in expr.terms:
-            coefs[order[(kind, v, arg)]] += cf
+            col = order.get((kind, v, arg))
+            if col is not None:
+                coefs[col] += cf
+            elif lo[arg] == hi[arg]:
+                coefs[v] += cf * lo[arg]
+            else:
+                coefs[arg] += cf * lo[v]
         return coefs
 
     senses = []

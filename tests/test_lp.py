@@ -231,7 +231,10 @@ def _shipped_network_lps(policy):
             lo_k, hi_k = lo.copy(), hi.copy()
             lo_k[v.id] = hi_k[v.id] = value
             lps.append(build_lp_relaxation(flat, lo_k, hi_k))
-    split = sorted({vid for t in lps[0].aux_terms for vid in t.participants()})
+    split = sorted({vid for expr in [flat.objective]
+                    + [c.body for c in flat.constraints]
+                    for kind, _, v, arg in expr.terms
+                    for vid in ((v, arg) if kind == "bil" else (v,))})
     for vid in split:
         lo_k, hi_k = lo.copy(), hi.copy()
         lo_k[vid] = hi_k[vid] = 0.5 * (lo[vid] + hi[vid])
@@ -249,7 +252,7 @@ def test_tableau_matches_basis_solve_without_refactor(monkeypatch):
     rng = np.random.default_rng(101)
     network_root = _shipped_network_lps(
         ApproxPolicy(method="pwl", n_segments=21))[0]
-    assert network_root.A.shape == (212, 74)
+    assert network_root.A.shape == (164, 62)
     pivots = 0
     for lp in [_random_lp(rng) for _ in range(40)] + [network_root]:
         sx = _Simplex(lp)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gdpkit.lp import lp_solve
+from gdpkit.lp import LinearProgram, lp_solve
 from gdpkit.model import (Constraint, DomainError, Expression, interval_eval,
                           term_interval)
 from gdpkit.relax import (
@@ -14,6 +14,8 @@ from gdpkit.relax import (
     pwl_envelope,
 )
 from gdpkit.transforms import FlatModel
+
+from test_lp import _highs
 
 
 def admitted_w(rows, x, y):
@@ -233,16 +235,132 @@ def test_relaxation_bound_of_negative_product():
 
 
 def test_node_with_fixed_binary_reduces_box():
+    # y = 1 makes x*y exact: the product is x's coefficient, no column
     flat = FlatModel(sense="min")
     x = flat.add_variable("x", 0.0, 1.0)
     y = flat.add_variable("y", 0.0, 1.0, "binary")
     flat.objective = Expression().add_bilinear(1.0, x, y)
     lp = build_lp_relaxation(flat, [0.0, 1.0], [1.0, 1.0])
     assert lp.lo[1] == lp.hi[1] == 1.0
-    aux = lp.aux_terms[0]
-    assert (lp.lo[aux.col], lp.hi[aux.col]) == (0.0, 1.0)
+    assert lp.aux_terms == []
+    assert lp.A.shape == (0, 2)
+    assert list(lp.c) == [1.0, 0.0]
     sol = lp_solve(lp)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
+
+
+def test_product_with_a_fixed_factor_is_a_coefficient():
+    flat = FlatModel(sense="min")
+    x = flat.add_variable("x", 0.0, 2.0)
+    y = flat.add_variable("y", 0.0, 1.0)
+    z = flat.add_variable("z", -1.0, 1.0)
+    flat.objective = (Expression().add_linear(0.5, x).add_bilinear(3.0, x, y)
+                      .add_bilinear(1.0, x, z))
+    flat.add_constraint(Constraint(
+        Expression().add_bilinear(-2.0, y, x).add_linear(1.0, z), "<=", 1.0,
+        "row"), {"kind": "global"})
+    # y fixed: x*y folds onto x after the linear part; x*z keeps its
+    # column and its four McCormick rows
+    lp = build_lp_relaxation(flat, [0.0, 0.75, -1.0], [2.0, 0.75, 1.0])
+    assert [(t.col, t.kind, t.var, t.arg) for t in lp.aux_terms] == [
+        (3, "bil", x, z)]
+    assert lp.A.shape == (5, 4)
+    assert list(lp.c) == [0.5 + 3.0 * 0.75, 0.0, 0.0, 1.0]
+    assert list(lp.A[0]) == [-2.0 * 0.75, 0.0, 1.0, 0.0]
+    point = np.array([1.0, 0.75, 0.5, 0.25])
+    assert envelope_violations(lp, point) == [0.25]
+    # x fixed as well: x*y folds onto x with y's value, x*z onto z
+    lp = build_lp_relaxation(flat, [1.5, 0.75, -1.0], [1.5, 0.75, 1.0])
+    assert lp.aux_terms == []
+    assert lp.A.shape == (1, 3)
+    assert list(lp.c) == [0.5 + 3.0 * 0.75, 0.0, 1.5]
+    assert list(lp.A[0]) == [-2.0 * 0.75, 0.0, 1.0]
+
+
+def _mccormick_reference(flat, lo, hi):
+    """The relaxation without the fold, built by hand: every distinct
+    product its own column, bounded by its interval and tied to its
+    factors by mccormick_bilinear's rows over the box."""
+    n0 = len(flat.variables)
+    cols = {}
+    for expr in [flat.objective] + [c.body for c in flat.constraints]:
+        for _, _, v, arg in expr.terms:
+            cols.setdefault((v, arg), n0 + len(cols))
+    n = n0 + len(cols)
+
+    def row(expr):
+        coefs = np.zeros(n)
+        for cf, v in expr.linear:
+            coefs[v] += cf
+        for _, cf, v, arg in expr.terms:
+            coefs[cols[(v, arg)]] += cf
+        return coefs
+
+    A = [row(c.body) for c in flat.constraints]
+    senses = [c.sense for c in flat.constraints]
+    b = [c.rhs - c.body.constant for c in flat.constraints]
+    aux_lo, aux_hi = [], []
+    for (v, arg), col in cols.items():
+        env = mccormick_bilinear((lo[v], hi[v]), (lo[arg], hi[arg]),
+                                 square=(v == arg))
+        for env_row in env.rows:
+            coefs = np.zeros(n)
+            for sym, cf in env_row.coefs.items():
+                coefs[{"w": col, "x": v, "y": arg}[sym]] += cf
+            A.append(coefs)
+            senses.append(env_row.sense)
+            b.append(env_row.rhs)
+        t_lo, t_hi = term_interval("bil", lo, hi, v, arg)
+        aux_lo.append(t_lo)
+        aux_hi.append(t_hi)
+    return LinearProgram(c=row(flat.objective), A=np.array(A), senses=senses,
+                         b=np.array(b), lo=np.concatenate([lo, aux_lo]),
+                         hi=np.concatenate([hi, aux_hi]),
+                         obj_const=flat.objective.constant)
+
+
+def test_fold_matches_the_mccormick_reference_under_highs():
+    # a product with a fixed factor is exact either way, so the folded LP
+    # and the one with its aux column and McCormick rows have the same
+    # status and optimum
+    rng = np.random.default_rng(53)
+    folded = optimal = 0
+    seen = set()
+    for _ in range(40):
+        flat = _random_bilinear_flat(rng)
+        n = len(flat.variables)
+        body = Expression()
+        for _ in range(2):
+            i, j = rng.integers(0, n, 2)
+            body.add_bilinear(float(rng.uniform(-2, 2)), int(i), int(j))
+        body.add_linear(float(rng.uniform(-1, 1)), int(rng.integers(0, n)))
+        flat.add_constraint(Constraint(body, "<=", float(rng.uniform(-1, 1)),
+                                       "mix"), {"kind": "global"})
+        lo, hi = (np.array(a) for a in flat.bounds_arrays())
+        for vid in range(n):
+            if rng.random() < 0.5:
+                lo[vid] = hi[vid] = rng.uniform(lo[vid], hi[vid])
+        lp = build_lp_relaxation(flat, lo, hi)
+        ref_lp = _mccormick_reference(flat, lo, hi)
+        folded += ref_lp.A.shape[1] - lp.A.shape[1]
+        sol, ref = _highs(lp), _highs(ref_lp)
+        assert sol.status == ref.status
+        seen.add(ref.status)
+        if ref.status == 0:
+            optimal += 1
+            assert sol.fun == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+    assert folded >= 20 and optimal >= 15 and seen == {0, 2}
+
+
+@pytest.mark.parametrize("short, message", [
+    ("lo", "box has 1 lower and 2 upper bounds for 2 model variables"),
+    ("hi", "box has 2 lower and 1 upper bounds for 2 model variables")],
+    ids=["lo", "hi"])
+def test_box_needs_one_bound_per_model_variable(short, message):
+    box = {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+    box[short] = box[short][:1]
+    with pytest.raises(ValueError, match=message):
+        build_lp_relaxation(neg_product_flat(), box["lo"], box["hi"])
 
 
 def _random_bilinear_flat(rng):
