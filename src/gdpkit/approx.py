@@ -35,9 +35,6 @@ class QuadFit:
     rms_error: float
     normal_residual: float
 
-    def __call__(self, x):
-        return self.a * x * x + self.b * x + self.c
-
 
 @dataclass
 class PwlTable:
@@ -144,10 +141,9 @@ def apply_approximation(model: GdpModel, policy: ApproxPolicy):
 
     Terms are replaced in the disjunctive model, before it is flattened,
     so only a GdpModel is accepted. Returns (new model, report). The
-    report carries one record per replaced term: kind, variable, domain,
-    certified errors and added counts, which are 0 under both policies.
-    Every other term, pwl ones included, is untouched, and each
-    replacement stays in the row it came from.
+    report carries one record per replaced term: kind, variable, domain
+    and certified errors. Every other term, pwl ones included, is
+    untouched, and each replacement stays in the row it came from.
     """
     out = _clone(model)
     report: list[dict] = []
@@ -177,9 +173,7 @@ def apply_approximation(model: GdpModel, policy: ApproxPolicy):
                 expr.add_pwl(coef, vid, table.breakpoints, table.values)
                 max_abs, rms = _grid_errors(table.interpolate, f, var.lower,
                                             var.upper)
-            entry.update(max_abs_error=max_abs, rms_error=rms,
-                         added_continuous=0, added_binary=0,
-                         added_constraints=0)
+            entry.update(max_abs_error=max_abs, rms_error=rms)
             report.append(entry)
 
     return out, report

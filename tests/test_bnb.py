@@ -274,6 +274,28 @@ def test_time_limit_inside_an_lp_stops_the_search(monkeypatch):
     assert res.bound <= full.objective + 1e-9
 
 
+def test_zero_time_limit_stops_before_the_root():
+    # the wall clock is read before every node, the root included
+    res = solve_global(neg_product_model(), time_limit=0.0)
+    assert res.status == "time_limit"
+    assert res.nodes == 0
+    assert res.x is None and res.objective is None
+    assert res.bound == -np.inf
+
+
+def test_node_without_a_split_is_parked_with_its_bound(monkeypatch):
+    flat = neg_product_model()
+    lo, hi = flat.bounds_arrays()
+    root = lp_solve(build_lp_relaxation(flat, lo, hi))
+    monkeypatch.setattr(bnbmod, "branch_select", lambda *args: None)
+    res = solve_global(flat, gap=1e-4)
+    assert res.nodes == 1
+    assert res.parked == 1
+    assert res.bound == pytest.approx(root.objective, abs=1e-12)
+    assert res.bound < -0.25 - 1e-3
+    assert res.status == "feasible"
+
+
 def random_instance(seed):
     """<= 4 continuous vars, <= 2 binaries, <= 3 bilinear terms, feasible."""
     rng = np.random.default_rng(seed)

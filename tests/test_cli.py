@@ -54,9 +54,45 @@ def test_reference_produces_relative_error(tmp_path):
     assert report["relative_error_pct"] == pytest.approx(0.0, abs=0.05)
 
 
-def test_wtn_requires_approximation():
-    code = run(["--wtn", str(INSTANCE), "--approx", "none"])
-    assert code == 1
+def test_wtn_solves_its_power_terms_without_approximation(tmp_path):
+    # pow terms are relaxed by their own envelopes, and the incumbent
+    # passes the exact 1e-6 check on the original rows
+    out = tmp_path / "report.json"
+    code = run(["--wtn", str(INSTANCE), "--approx", "none",
+                "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["sizes"]["original"] == report["sizes"]["solved"]
+    assert report["approximation"] == []
+    result = report["result"]
+    assert result["status"] == "optimal"
+    assert result["objective"] == pytest.approx(90.374830, rel=1e-4)
+    assert result["original_violation"] <= 1e-6
+
+
+def test_pwl_report_states_its_exact_row_violation(tmp_path):
+    # a table interpolates the concave power from below, so the pwl-21
+    # optimum is at most the exact one (within the gap) and its design
+    # misses the exact cost rows by the table's error there
+    out = tmp_path / "report.json"
+    assert run(["--wtn", str(INSTANCE), "--approx", "pwl", "--segments", "21",
+                "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["objective"] <= 90.374830 * (1 + 1e-4)
+    assert result["original_violation"] == pytest.approx(1.81e-3, rel=0.01)
+
+
+def test_invalid_model_is_usage_error(tmp_path, capsys):
+    m = GdpModel()
+    x = m.add_variable("x", 0.0, 1.0)
+    m.add_variable("upside_down", 2.0, 1.0)
+    m.objective.add_linear(1.0, x)
+    path = tmp_path / "model.json"
+    path.write_text(save_model(m))
+    assert run(["--model", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("gdpkit: error:")
+    assert "'upside_down'" in err[0]
 
 
 def test_missing_file_is_usage_error(tmp_path):
@@ -239,6 +275,15 @@ def test_quad_report_sizes_self_audit(tmp_path):
     assert len(report["approximation"]) == 2
     assert report["result"]["incumbent"]["y[Y[u1]]"] == pytest.approx(1.0,
                                                                       abs=1e-6)
+    # the quad design measured on the exact rows, outside the CLI: its
+    # fitted cost is off the true power by far more than the 1e-6 check
+    original = bigm_transform(gdp)
+    incumbent = report["result"]["incumbent"]
+    x = [incumbent[v.name] for v in original.variables]
+    worst = max(c.violation(x) for c in original.constraints)
+    assert worst > 0.1
+    assert report["result"]["original_violation"] == pytest.approx(worst,
+                                                                   rel=1e-12)
 
 
 def exit_code(argv):

@@ -1,7 +1,8 @@
 """Smoke test: each demo runs to completion in a fresh interpreter.
 
 demos/05_water_network.py is the slowest: it solves the shipped network
-to the gap under two strategies, in about 2 s on 2 cores.
+to the gap as it stands and under two strategies, in about 1.5 s on 2
+cores.
 """
 
 import os

@@ -341,6 +341,38 @@ def test_shipped_network_lps_match_highs(monkeypatch):
     assert any(after_phase1)
 
 
+def test_frequent_refactors_keep_the_reference_answers(monkeypatch):
+    # with the tableau rebuilt every 8 pivots and the basics refreshed
+    # every 4, the solves go on past many refactors to the same answers
+    monkeypatch.setattr(lpmod, "REFACTOR_EVERY", 8)
+    monkeypatch.setattr(lpmod, "REFRESH_EVERY", 4)
+    refactor = _Simplex._refactor_tableau
+    refactors = []
+
+    def counting(self):
+        refactors.append(self.n_pivots)
+        refactor(self)
+
+    monkeypatch.setattr(_Simplex, "_refactor_tableau", counting)
+    lps = (_shipped_network_lps(ApproxPolicy(method="quad"))
+           + _shipped_network_lps(ApproxPolicy(method="pwl", n_segments=21)))
+    for lp in lps:
+        sol = lp_solve(lp)
+        ref = _highs(lp)
+        assert sol.status == {0: "optimal", 2: "infeasible"}[ref.status]
+        if ref.status == 0:
+            assert sol.objective == pytest.approx(ref.fun + lp.obj_const,
+                                                  rel=1e-9)
+    rng = np.random.default_rng(101)
+    for _ in range(40):
+        lp = _random_lp(rng)
+        sol = lp_solve(lp)
+        assert sol.status == "optimal"
+        assert sol.max_violation <= 1e-7
+        assert sol.objective == pytest.approx(_highs(lp).fun, abs=1e-6)
+    assert len(refactors) > 100
+
+
 def test_start_basis_is_the_identity():
     # the start rows are signed so that the starting basis is I, which
     # makes T = A at the start and T[:, start_basis] Binv after
