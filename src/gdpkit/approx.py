@@ -143,10 +143,13 @@ def apply_approximation(model: GdpModel, policy: ApproxPolicy):
     so only a GdpModel is accepted. Returns (new model, report). The
     report carries one record per replaced term: kind, variable, domain
     and certified errors. Every other term, pwl ones included, is
-    untouched, and each replacement stays in the row it came from.
+    untouched, and each replacement stays in the row it came from. A
+    term of the same kind and exponent over the same domain is fitted
+    and certified once per call.
     """
     out = _clone(model)
     report: list[dict] = []
+    fits: dict[tuple, tuple] = {}
 
     for expr, site in _approx_sites(out):
         concave = [t for t in expr.terms if t[0] in ("pow", "log")]
@@ -156,24 +159,33 @@ def apply_approximation(model: GdpModel, policy: ApproxPolicy):
             if not (math.isfinite(var.lower) and math.isfinite(var.upper)):
                 raise ValueError(f"cannot approximate over unbounded variable "
                                  f"{var.name!r}")
-            f = _term_function(kind, exponent)
-            entry = {
+            # float.hex keeps -0.0 and 0.0 apart, as the table would
+            key = (kind, exponent, var.lower.hex(), var.upper.hex())
+            if key not in fits:
+                fits[key] = _fit(_term_function(kind, exponent), var.lower,
+                                 var.upper, policy)
+            approx, max_abs, rms = fits[key]
+            if policy.method == "quad":
+                expr.constant += coef * approx.c
+                expr.add_linear(coef * approx.b, vid)
+                expr.add_bilinear(coef * approx.a, vid, vid)
+            else:
+                expr.add_pwl(coef, vid, approx.breakpoints, approx.values)
+            report.append({
                 "site": site, "kind": kind, "var": var.name,
                 "exponent": exponent, "domain": [var.lower, var.upper],
-                "policy": policy.method,
-            }
-            if policy.method == "quad":
-                fit = fit_quadratic(f, var.lower, var.upper)
-                expr.constant += coef * fit.c
-                expr.add_linear(coef * fit.b, vid)
-                expr.add_bilinear(coef * fit.a, vid, vid)
-                max_abs, rms = fit.max_abs_error, fit.rms_error
-            else:
-                table = build_pwl(f, var.lower, var.upper, policy.n_segments)
-                expr.add_pwl(coef, vid, table.breakpoints, table.values)
-                max_abs, rms = _grid_errors(table.interpolate, f, var.lower,
-                                            var.upper)
-            entry.update(max_abs_error=max_abs, rms_error=rms)
-            report.append(entry)
+                "policy": policy.method, "max_abs_error": max_abs,
+                "rms_error": rms,
+            })
 
     return out, report
+
+
+def _fit(f: Callable, lower: float, upper: float, policy: ApproxPolicy):
+    """The policy's QuadFit or PwlTable for f on [lower, upper], with
+    its grid-certified max and RMS errors."""
+    if policy.method == "quad":
+        fit = fit_quadratic(f, lower, upper)
+        return fit, fit.max_abs_error, fit.rms_error
+    table = build_pwl(f, lower, upper, policy.n_segments)
+    return (table, *_grid_errors(table.interpolate, f, lower, upper))

@@ -6,6 +6,12 @@ spatially so the envelope relaxations tighten. Incumbents come only
 from LP points that pass an exact feasibility check against the
 original rows. Defaults match a 0.01 % relative gap and a 3600 s wall
 clock budget.
+
+A solve compiles its flat model once (relax.compile_flat). Each node
+then calls build_lp_relaxation, lp_solve and feasibility_check through
+this module's names with those arrays, so a node pays only for what
+its box changes: the folds, the aux columns and bounds, the envelope
+rows and a cold simplex solve.
 """
 
 from __future__ import annotations
@@ -19,8 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lp import LpSolution, lp_solve
-from .model import BINARY
-from .relax import build_lp_relaxation, envelope_violations
+from .model import BINARY, term_value
+from .relax import (CompiledModel, build_lp_relaxation, compile_flat,
+                    envelope_violations)
 from .transforms import FlatModel, _negated
 
 logger = logging.getLogger(__name__)
@@ -68,22 +75,43 @@ def relative_gap(objective: float | None, bound: float) -> float:
     return abs(objective - bound) / max(1e-10, abs(objective))
 
 
-def feasibility_check(point, flat: FlatModel, tol: float = FEAS_TOL):
+def feasibility_check(point, flat: FlatModel, tol: float = FEAS_TOL,
+                      compiled: CompiledModel | None = None):
     """Exact check of every original row plus binary integrality.
 
     Returns (feasible, violations) where violations lists
-    (label, amount) for every row or integrality breach beyond tol.
+    (label, amount) for every integrality or row breach beyond tol, in
+    variable and then row order. Each row's value is summed as
+    Constraint.violation sums it: the constant, then the linear and the
+    term entries in Expression order; pow, log and pwl values come from
+    term_value. compiled is compile_flat(flat), made here when not given.
     """
-    violations: list[tuple[str, float]] = []
-    for v in flat.variables:
-        if v.kind == BINARY:
-            err = abs(point[v.id] - round(point[v.id]))
-            if err > tol:
-                violations.append((f"integrality[{v.name}]", err))
-    for c in flat.constraints:
-        amount = c.violation(point)
-        if amount > tol:
-            violations.append((c.label, amount))
+    cm = compile_flat(flat) if compiled is None else compiled
+    x = np.asarray(point, dtype=float)
+    at = x[cm.binaries]
+    err = np.abs(at - np.rint(at))
+    bad = err > tol
+    violations = [(f"integrality[{flat.variables[v].name}]", float(e))
+                  for v, e in zip(cm.binaries[bad], err[bad])]
+
+    # the value of each entry's key: the variable, or the term
+    value = np.zeros(cm.n_model + len(cm.keys))
+    value[:cm.n_model] = x
+    bil = cm.product | cm.square
+    value[cm.n_model:][bil] = x[cm.var[bil]] * x[cm.arg[bil]]
+    for t in cm.curved:
+        if cm.in_rows[t]:
+            kind, v, arg = cm.keys[t]
+            value[cm.n_model + t] = term_value(kind, point, v, arg)
+    n_con = len(cm.senses)
+    body = np.bincount(np.concatenate([np.arange(n_con), cm.row]),
+                       np.concatenate([cm.constant,
+                                       cm.coef * value[cm.key]]),
+                       minlength=n_con)
+    excess = np.where(cm.ge, cm.rhs - body, body - cm.rhs)
+    amount = np.where(cm.eq, np.abs(excess), np.maximum(excess, 0.0))
+    violations += [(flat.constraints[r].label, float(amount[r]))
+                   for r in (amount > tol).nonzero()[0]]
     return not violations, violations
 
 
@@ -188,6 +216,7 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
         work = replace(flat, sense="min", objective=_negated(flat.objective))
 
     n_model = len(work.variables)
+    compiled = compile_flat(work)
     lo0 = np.array([v.lower for v in work.variables])
     hi0 = np.array([v.upper for v in work.variables])
 
@@ -228,13 +257,14 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
         node = heapq.heappop(heap)[3]
         if node.bound >= z:
             continue
-        lp = build_lp_relaxation(work, node.lo, node.hi)
+        lp = build_lp_relaxation(work, node.lo, node.hi, compiled)
         sol = lp_solve(lp, deadline=t0 + time_limit)
         nodes_done += 1
         if sol.status == "optimal":
             node_bound = max(node.bound, sol.objective)
             point = sol.x[:n_model]
-            if node_bound < z and feasibility_check(point, work, FEAS_TOL)[0]:
+            if node_bound < z and feasibility_check(point, work, FEAS_TOL,
+                                                         compiled)[0]:
                 z_point = work.objective.evaluate(point)
                 if z_point < z:
                     z = z_point

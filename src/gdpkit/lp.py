@@ -17,6 +17,9 @@ is stored as its parts: the scaled, sign-normalized m x n row block
 over the structural columns, and for each slack or artificial column
 the one row it sits in and its sign there. Residuals are formed from
 those parts, and the full matrix is rebuilt only when T is refactored.
+Every LP starts cold: the search builds one LP per node and nothing
+carries over from the parent's solve. Set-up divides each row once,
+by its sign flip times its largest coefficient.
 
 The simplex uses numpy alone: a second BLAS library (scipy bundles its
 own OpenBLAS) would run its threads against numpy's on every pivot.
@@ -100,16 +103,15 @@ class _Simplex:
             first = lp.senses[int(np.argmax(bad))]
             raise ValueError(f"bad row sense {first!r}")
 
-        # normalize: >= rows negated, so rows are <= or =
-        flip = np.where(self.ge, -1.0, 1.0)
-        A = lp.A * flip[:, None]
-        b = lp.b * flip
-
-        # row equilibration keeps big-M rows from amplifying pivot noise
-        scale = np.abs(A).max(axis=1, initial=0.0)
+        # normalize: >= rows negated, so rows are <= or =; row
+        # equilibration keeps big-M rows from amplifying pivot noise.
+        # One division does both: a / (flip * scale) equals
+        # (a * flip) / scale exactly, as flip is +1 or -1
+        scale = np.abs(lp.A).max(axis=1, initial=0.0)
         scale[scale <= 0.0] = 1.0
-        A /= scale[:, None]
-        b /= scale
+        scale[self.ge] *= -1.0
+        A = lp.A / scale[:, None]
+        b = lp.b / scale
 
         # start: structurals at lower bound. Each row is one of two kinds:
         # its slack basic where the residual is nonnegative, or an
@@ -202,18 +204,22 @@ class _Simplex:
         """Rebuild T = Binv A from scratch to purge elimination error.
         Raises LinAlgError when the basis matrix is singular."""
         A = self._standard_matrix()
-        self.T = np.linalg.solve(A[:, self.basis], A)
+        # C order, so _eliminate's flat view writes into T itself
+        self.T = np.ascontiguousarray(np.linalg.solve(A[:, self.basis], A))
 
-    def _eliminate(self, r: int, q: int):
-        colq = self.T[:, q].copy()
-        trow = self.T[r] / self.T[r, q]
+    def _eliminate(self, r: int, q: int, colq: np.ndarray):
+        """Pivot on (r, q); colq is a copy of T's column q."""
+        T = self.T
+        trow = T[r] / T[r, q]
         # node tableaus are sparse: a cell changes only where both the
         # pivot column and the pivot row are nonzero, so the update
-        # rewrites that block and no other cell
-        rows = colq.nonzero()[0][:, None]
+        # rewrites that block and no other cell, through flat indices
+        rows = colq.nonzero()[0]
         cols = trow.nonzero()[0]
-        self.T[rows, cols] -= colq[rows] * trow[cols]
-        self.T[r] = trow
+        cells = (rows * T.shape[1])[:, None] + cols
+        flat = T.reshape(-1)
+        flat[cells] -= colq[rows, None] * trow[cols]
+        T[r] = trow
         return trow, cols
 
     def _run_phase(self, cost: np.ndarray) -> str:
@@ -262,7 +268,8 @@ class _Simplex:
                 return "optimal"
 
             direction = sign[q]
-            deltas = direction * self.T[:, q]
+            colq = self.T[:, q].copy()
+            deltas = direction * colq
 
             t_flip = hi[q] - lo[q]
             up = deltas > RATIO_TOL
@@ -303,7 +310,7 @@ class _Simplex:
                 where[q] = IN_BASIS
                 sign[q] = 0.0
 
-                trow, cols = self._eliminate(r, q)
+                trow, cols = self._eliminate(r, q, colq)
                 dq = d[q]
                 d[cols] -= dq * trow[cols]
                 d[q] = 0.0

@@ -9,6 +9,14 @@ a fixed factor (lo == hi) is linear over the box: it becomes a
 coefficient on the other factor, with no column and no rows. Shrinking
 the box can only tighten the result; a degenerate box forces any other
 auxiliary to the exact term value.
+
+A flat model is compiled once per solve (compile_flat): its distinct
+terms in order of first appearance, each row's linear and term entries
+as index and coefficient arrays in Expression order, the senses, the
+right-hand sides, the binaries and each pwl table's segment lines. A
+node changes only the box, and the box decides which products fold,
+the column numbering, the aux bounds and the envelope rows; the node's
+LP is emitted from the arrays with numpy alone.
 """
 
 from __future__ import annotations
@@ -18,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (SENSE_GE, SENSE_LE, DomainError, Expression, pwl_value,
-                    term_interval, term_value)
+from .model import (BINARY, SENSE_EQ, SENSE_GE, SENSE_LE, DomainError,
+                    pwl_value, term_interval, term_value)
 from .lp import LinearProgram
 from .transforms import FlatModel
 
@@ -50,6 +58,35 @@ class EnvelopeRows:
     rows: list[EnvelopeRow]
 
 
+# Every envelope row reads w + ax*x (+ ay*y) >= or <= rhs. The *_lines
+# functions give ax, ay, the senses and rhs; the builder and the
+# EnvelopeRows functions below share them. The McCormick and square
+# ones take arrays, one entry per term.
+
+_MCCORMICK_SENSES = (SENSE_GE, SENSE_GE, SENSE_LE, SENSE_LE)
+_SQUARE_SENSES = (SENSE_GE, SENSE_GE, SENSE_LE)
+
+
+def _mccormick_lines(xl, xu, yl, yu):
+    return (np.array([-yl, -yu, -yl, -yu]), np.array([-xl, -xu, -xu, -xl]),
+            np.array([-xl * yl, -xu * yu, -xu * yl, -xl * yu]))
+
+
+def _square_lines(xl, xu):
+    return (np.array([-2.0 * xl, -2.0 * xu, -(xl + xu)]),
+            np.array([-xl * xl, -xu * xu, -xl * xu]))
+
+
+def _envelope_rows(ax, rhs, senses, ay=None) -> EnvelopeRows:
+    rows = []
+    for k, sense in enumerate(senses):
+        coefs = {"w": 1.0, "x": float(ax[k])}
+        if ay is not None:
+            coefs["y"] = float(ay[k])
+        rows.append(EnvelopeRow(coefs, sense, float(rhs[k])))
+    return EnvelopeRows(rows)
+
+
 def mccormick_bilinear(x_bounds, y_bounds, square: bool = False) -> EnvelopeRows:
     """Convex hull rows for w = x*y over a box.
 
@@ -61,22 +98,10 @@ def mccormick_bilinear(x_bounds, y_bounds, square: bool = False) -> EnvelopeRows
     for v in (xl, xu, yl, yu):
         if not math.isfinite(v):
             raise ValueError("McCormick rows need finite bounds")
-
     if square:
-        rows = [
-            EnvelopeRow({"w": 1.0, "x": -2.0 * xl}, SENSE_GE, -xl * xl),
-            EnvelopeRow({"w": 1.0, "x": -2.0 * xu}, SENSE_GE, -xu * xu),
-            EnvelopeRow({"w": 1.0, "x": -(xl + xu)}, SENSE_LE, -xl * xu),
-        ]
-        return EnvelopeRows(rows)
-
-    rows = [
-        EnvelopeRow({"w": 1.0, "x": -yl, "y": -xl}, SENSE_GE, -xl * yl),
-        EnvelopeRow({"w": 1.0, "x": -yu, "y": -xu}, SENSE_GE, -xu * yu),
-        EnvelopeRow({"w": 1.0, "x": -yl, "y": -xu}, SENSE_LE, -xu * yl),
-        EnvelopeRow({"w": 1.0, "x": -yu, "y": -xl}, SENSE_LE, -xl * yu),
-    ]
-    return EnvelopeRows(rows)
+        return _envelope_rows(*_square_lines(xl, xu), _SQUARE_SENSES)
+    ax, ay, rhs = _mccormick_lines(xl, xu, yl, yu)
+    return _envelope_rows(ax, rhs, _MCCORMICK_SENSES, ay)
 
 
 def _concave_parts(kind: str, exponent: float | None):
@@ -86,6 +111,30 @@ def _concave_parts(kind: str, exponent: float | None):
     if kind == "log":
         return math.log, (lambda x: 1.0 / x)
     raise ValueError(f"no concave envelope for term kind {kind!r}")
+
+
+def _degenerate_check(lo: float, up: float) -> None:
+    if not up - lo > 1e-12:
+        raise ValueError(f"degenerate envelope domain [{lo}, {up}]")
+
+
+def _concave_lines(kind: str, lo: float, up: float, exponent):
+    _degenerate_check(lo, up)
+    if kind == "log" and lo <= 0.0:
+        raise DomainError("log envelope needs a strictly positive lower bound")
+    if kind == "pow" and lo < 0.0:
+        raise DomainError("power envelope needs a nonnegative lower bound")
+
+    f, fprime = _concave_parts(kind, exponent)
+    slope = (f(up) - f(lo)) / (up - lo)
+    ax, rhs = [-slope], [f(lo) - slope * lo]
+    for t in np.linspace(lo, up, N_TANGENTS):
+        if kind == "pow" and t <= 0.0:
+            t = lo + (up - lo) * 1e-6
+        g = fprime(t)
+        ax.append(-g)
+        rhs.append(f(t) - g * t)
+    return ax, rhs, (SENSE_GE,) + (SENSE_LE,) * N_TANGENTS
 
 
 def concave_envelope(kind: str, bounds, exponent: float | None = None
@@ -98,24 +147,26 @@ def concave_envelope(kind: str, bounds, exponent: float | None = None
     included; a point where f' blows up (x = 0 for powers) is nudged
     inward.
     """
-    lo, up = float(bounds[0]), float(bounds[1])
-    if not up - lo > 1e-12:
-        raise ValueError(f"degenerate envelope domain [{lo}, {up}]")
-    if kind == "log" and lo <= 0.0:
-        raise DomainError("log envelope needs a strictly positive lower bound")
-    if kind == "pow" and lo < 0.0:
-        raise DomainError("power envelope needs a nonnegative lower bound")
+    return _envelope_rows(*_concave_lines(kind, float(bounds[0]),
+                                          float(bounds[1]), exponent))
 
-    f, fprime = _concave_parts(kind, exponent)
-    slope = (f(up) - f(lo)) / (up - lo)
-    rows = [EnvelopeRow({"w": 1.0, "x": -slope}, SENSE_GE, f(lo) - slope * lo)]
 
-    for t in np.linspace(lo, up, N_TANGENTS):
-        if kind == "pow" and t <= 0.0:
-            t = lo + (up - lo) * 1e-6
-        g = fprime(t)
-        rows.append(EnvelopeRow({"w": 1.0, "x": -g}, SENSE_LE, f(t) - g * t))
-    return EnvelopeRows(rows)
+def _segment_lines(table):
+    """Each segment's breakpoints, slope and intercept."""
+    xs, ys = (np.array(t, dtype=float) for t in table)
+    slope = (ys[1:] - ys[:-1]) / (xs[1:] - xs[:-1])
+    return xs, slope, ys[:-1] - slope * xs[:-1]
+
+
+def _pwl_lines(table, segments, lo: float, up: float):
+    _degenerate_check(lo, up)
+    f_lo, f_up = pwl_value(table, lo), pwl_value(table, up)
+    slope = (f_up - f_lo) / (up - lo)
+    xs, g, c = segments
+    meets = (xs[:-1] < up) & (xs[1:] > lo)
+    ax = np.concatenate([[-slope], -g[meets]])
+    rhs = np.concatenate([[f_lo - slope * lo], c[meets]])
+    return ax, rhs, (SENSE_GE,) + (SENSE_LE,) * (ax.size - 1)
 
 
 def pwl_envelope(table, bounds) -> EnvelopeRows:
@@ -125,19 +176,8 @@ def pwl_envelope(table, bounds) -> EnvelopeRows:
     Once [L, U] lies inside one segment the chord is that segment's
     line, so the rows pin w to the table.
     """
-    lo, up = float(bounds[0]), float(bounds[1])
-    if not up - lo > 1e-12:
-        raise ValueError(f"degenerate envelope domain [{lo}, {up}]")
-    f_lo, f_up = pwl_value(table, lo), pwl_value(table, up)
-    slope = (f_up - f_lo) / (up - lo)
-    rows = [EnvelopeRow({"w": 1.0, "x": -slope}, SENSE_GE, f_lo - slope * lo)]
-    xs, ys = table
-    for k in range(len(xs) - 1):
-        if xs[k] < up and xs[k + 1] > lo:
-            g = (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
-            rows.append(EnvelopeRow({"w": 1.0, "x": -g}, SENSE_LE,
-                                    ys[k] - g * xs[k]))
-    return EnvelopeRows(rows)
+    return _envelope_rows(*_pwl_lines(table, _segment_lines(table),
+                                      float(bounds[0]), float(bounds[1])))
 
 
 # -- whole-model relaxation --------------------------------------------
@@ -162,7 +202,99 @@ class AuxTerm:
         return (self.var,)
 
 
-def build_lp_relaxation(flat: FlatModel, lo, hi) -> LinearProgram:
+@dataclass
+class CompiledModel:
+    """A flat model as arrays, for one solve (see compile_flat).
+
+    keys are the distinct nonlinear terms (kind, var, arg) in order of
+    first appearance, the objective's first; var and arg index their
+    variables (arg is var for a term of one variable). product marks a
+    bil key of two variables, square one of a variable with itself,
+    curved lists the pow, log and pwl keys, and segments holds each pwl
+    key's segment lines. in_rows marks the keys some row holds.
+
+    Each entry of a row is (row, key, coef) in Expression order. A key
+    below n_model is that variable's linear entry; key n_model + t is
+    term keys[t]. The objective's entries are obj_key and obj_coef.
+    b is each row's rhs less its constant, the LP's right-hand side.
+    """
+
+    n_model: int
+    keys: list[tuple]
+    var: np.ndarray
+    arg: np.ndarray
+    product: np.ndarray
+    square: np.ndarray
+    curved: list[int]
+    segments: dict[int, tuple]
+    in_rows: np.ndarray
+    row: np.ndarray
+    key: np.ndarray
+    coef: np.ndarray
+    obj_key: np.ndarray
+    obj_coef: np.ndarray
+    senses: list[str]
+    eq: np.ndarray
+    ge: np.ndarray
+    rhs: np.ndarray
+    constant: np.ndarray
+    b: np.ndarray
+    binaries: np.ndarray
+
+
+def compile_flat(flat: FlatModel) -> CompiledModel:
+    """Walk a flat model's expressions once into the arrays that
+    build_lp_relaxation and bnb.feasibility_check read at every node."""
+    n0 = len(flat.variables)
+    index: dict[tuple, int] = {}
+
+    def entries(exprs):
+        # all linear entries, then all term entries: each row's entries
+        # keep their Expression order
+        found = [(r, v, cf) for r, e in enumerate(exprs) for cf, v in e.linear]
+        found += [(r, n0 + index.setdefault((kind, v, arg), len(index)), cf)
+                  for r, e in enumerate(exprs) for kind, cf, v, arg in e.terms]
+        table = np.array(found, dtype=float).reshape(-1, 3)
+        return (table[:, 0].astype(np.intp), table[:, 1].astype(np.intp),
+                table[:, 2].copy())
+
+    _, obj_key, obj_coef = entries([flat.objective])
+    row, key, coef = entries([c.body for c in flat.constraints])
+    keys = list(index)
+    var = np.array([v for _, v, _ in keys], dtype=np.intp)
+    arg = np.array([a if k == "bil" else v for k, v, a in keys], dtype=np.intp)
+    bil = np.array([k == "bil" for k, _, _ in keys], dtype=bool)
+    curved = [t for t, (k, _, _) in enumerate(keys) if k != "bil"]
+    in_rows = np.zeros(len(keys), dtype=bool)
+    in_rows[key[key >= n0] - n0] = True
+    senses = np.array([c.sense for c in flat.constraints], dtype=str)
+    rhs = np.array([c.rhs for c in flat.constraints], dtype=float)
+    constant = np.array([c.body.constant for c in flat.constraints],
+                        dtype=float)
+    return CompiledModel(
+        n_model=n0, keys=keys, var=var, arg=arg,
+        product=bil & (var != arg), square=bil & (var == arg), curved=curved,
+        segments={t: _segment_lines(keys[t][2]) for t in curved
+                  if keys[t][0] == "pwl"},
+        in_rows=in_rows, row=row, key=key, coef=coef, obj_key=obj_key,
+        obj_coef=obj_coef, senses=senses.tolist(), eq=senses == SENSE_EQ,
+        ge=senses == SENSE_GE,
+        rhs=rhs, constant=constant, b=rhs - constant,
+        binaries=np.array([v.id for v in flat.variables if v.kind == BINARY],
+                          dtype=np.intp))
+
+
+def _first(values, better):
+    """min or max of values as Python picks it: the first best one."""
+    out = values[0]
+    for v in values[1:]:
+        out = np.where(better(v, out), v, out)
+    return out
+
+
+def build_lp_relaxation(flat: FlatModel, lo, hi,
+                        compiled: CompiledModel | None = None
+                        ) -> LinearProgram:
     """Assemble the LP relaxation of a flattened model over a box.
 
     Distinct nonlinear terms share one auxiliary column each, in order
@@ -170,87 +302,107 @@ def build_lp_relaxation(flat: FlatModel, lo, hi) -> LinearProgram:
     as lp.aux_terms so callers can measure envelope violations at the LP
     point. A product of two variables one of which the box fixes is
     exact as a linear coefficient on the other (on var when both are
-    fixed), so it gets no column, no rows and no AuxTerm.
+    fixed), so it gets no column, no rows and no AuxTerm. compiled is
+    compile_flat(flat), made here when not given.
+
+    Coefficients that meet in one cell are summed in Expression order
+    onto +0.0, as a row-by-row build adding each entry in turn would.
     """
-    n0 = len(flat.variables)
+    cm = compile_flat(flat) if compiled is None else compiled
+    n0 = cm.n_model
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.shape != (n0,) or hi.shape != (n0,):
         raise ValueError(f"box has {lo.size} lower and {hi.size} upper "
                          f"bounds for {n0} model variables")
 
-    def folds(kind, v, arg) -> bool:
-        return (kind == "bil" and v != arg
-                and (lo[v] == hi[v] or lo[arg] == hi[arg]))
+    # a folded product lands on var when arg is fixed, else on arg; a
+    # kept term has the next aux column and factor 1.0
+    fixed = lo == hi
+    arg_fixed = fixed[cm.arg]
+    fold = cm.product & (fixed[cm.var] | arg_fixed)
+    kept = (~fold).nonzero()[0]
+    n = n0 + kept.size
+    term_col = np.where(arg_fixed, cm.var, cm.arg)
+    term_col[kept] = np.arange(n0, n)
+    key_col = np.concatenate([np.arange(n0), term_col])
+    factor = np.concatenate([
+        np.ones(n0),
+        np.where(fold, np.where(arg_fixed, lo[cm.arg], lo[cm.var]), 1.0)])
 
-    order: dict[tuple, int] = {}
-    for expr in [flat.objective] + [c.body for c in flat.constraints]:
-        for kind, _, v, arg in expr.terms:
-            if not folds(kind, v, arg):
-                order.setdefault((kind, v, arg), n0 + len(order))
-    n_aux = len(order)
-    n = n0 + n_aux
-
-    aux_terms = []
-    aux_lo = np.empty(n_aux)
-    aux_hi = np.empty(n_aux)
-    env_rows: list[tuple[EnvelopeRow, dict[str, int]]] = []
-
-    for (kind, v, arg), col in order.items():
-        aux_terms.append(AuxTerm(col, kind, v, arg))
-        aux_lo[col - n0], aux_hi[col - n0] = term_interval(kind, lo, hi, v, arg)
-        if kind == "bil":
-            env = mccormick_bilinear((lo[v], hi[v]), (lo[arg], hi[arg]),
-                                     square=(v == arg))
-            symbol_cols = {"w": col, "x": v, "y": arg}
-        elif hi[v] - lo[v] > 1e-12:
-            env = (pwl_envelope(arg, (lo[v], hi[v])) if kind == "pwl" else
-                   concave_envelope(kind, (lo[v], hi[v]), exponent=arg))
-            symbol_cols = {"w": col, "x": v}
+    # aux bounds and each kept term's envelope rows, in column order
+    aux_lo = np.empty(kept.size)
+    aux_hi = np.empty(kept.size)
+    n_lines = np.zeros(kept.size, dtype=np.intp)
+    groups = []  # (aux positions, ax, ay or None, rhs, senses): lines x terms
+    for mask, count in ((cm.product, 4), (cm.square, 3)):
+        keys = kept[mask[kept]]
+        if not keys.size:
+            continue
+        pos = term_col[keys] - n0
+        xl, xu = lo[cm.var[keys]], hi[cm.var[keys]]
+        yl, yu = lo[cm.arg[keys]], hi[cm.arg[keys]]
+        corners = (xl * yl, xl * yu, xu * yl, xu * yu)
+        aux_lo[pos] = _first(corners, np.less)
+        aux_hi[pos] = _first(corners, np.greater)
+        n_lines[pos] = count
+        if not np.isfinite(np.concatenate([xl, xu, yl, yu])).all():
+            raise ValueError("McCormick rows need finite bounds")
+        if count == 4:
+            ax, ay, rhs = _mccormick_lines(xl, xu, yl, yu)
+            groups.append((pos, ax, ay, rhs, _MCCORMICK_SENSES))
         else:
-            continue  # a degenerate box: the aux bounds pin the value
-        env_rows.extend((row, symbol_cols) for row in env.rows)
+            ax, rhs = _square_lines(xl, xu)
+            groups.append((pos, ax, None, rhs, _SQUARE_SENSES))
+    for t in cm.curved:
+        kind, v, arg = cm.keys[t]
+        pos = term_col[t] - n0
+        aux_lo[pos], aux_hi[pos] = term_interval(kind, lo, hi, v, arg)
+        if hi[v] - lo[v] > 1e-12:  # else the aux bounds pin the value
+            ax, rhs, senses = (
+                _pwl_lines(arg, cm.segments[t], float(lo[v]), float(hi[v]))
+                if kind == "pwl" else
+                _concave_lines(kind, float(lo[v]), float(hi[v]), arg))
+            n_lines[pos] = len(senses)
+            groups.append((np.array([pos]), np.asarray(ax)[:, None], None,
+                           np.asarray(rhs)[:, None], senses))
 
-    # one row block, filled with += onto zeros: a column that appears
-    # twice in a row sums its coefficients
-    n_con = len(flat.constraints)
-    A = np.zeros((n_con + len(env_rows), n))
+    n_con = len(cm.senses)
+    first_line = n_con + np.cumsum(n_lines) - n_lines
+    m = n_con + int(n_lines.sum())
+    b = np.empty(m)
+    b[:n_con] = cm.b
+    ge = np.zeros(m, dtype=bool)
 
-    def linearize(expr: Expression, coefs: np.ndarray) -> np.ndarray:
-        for cf, v in expr.linear:
-            coefs[v] += cf
-        for kind, cf, v, arg in expr.terms:
-            col = order.get((kind, v, arg))
-            if col is not None:
-                coefs[col] += cf
-            elif lo[arg] == hi[arg]:
-                coefs[v] += cf * lo[arg]
-            else:
-                coefs[arg] += cf * lo[v]
-        return coefs
+    # every cell of A as a flat index and its value, the model rows'
+    # entries first; bincount adds them in that order onto +0.0
+    cells = [cm.row * n + key_col[cm.key]]
+    values = [cm.coef * factor[cm.key]]
+    for pos, ax, ay, rhs, senses in groups:
+        line = first_line[pos] + np.arange(len(senses))[:, None]
+        b[line] = rhs
+        ge[line[:senses.count(SENSE_GE)]] = True  # every family lists >= first
+        cells += [line * n + (n0 + pos), line * n + cm.var[kept[pos]]]
+        values += [np.ones(line.shape), ax]
+        if ay is not None:
+            cells.append(line * n + cm.arg[kept[pos]])
+            values.append(ay)
+    A = np.bincount(np.concatenate([c.ravel() for c in cells]),
+                    np.concatenate([v.ravel() for v in values]),
+                    minlength=m * n).reshape(m, n)
 
-    senses = []
-    rhs = []
-    for coefs, c in zip(A, flat.constraints):
-        linearize(c.body, coefs)
-        senses.append(c.sense)
-        rhs.append(c.rhs - c.body.constant)
-    for coefs, (row, symbol_cols) in zip(A[n_con:], env_rows):
-        for sym, cf in row.coefs.items():
-            coefs[symbol_cols[sym]] += cf
-        senses.append(row.sense)
-        rhs.append(row.rhs)
-
+    c = np.bincount(key_col[cm.obj_key], cm.obj_coef * factor[cm.obj_key],
+                    minlength=n)
     lp = LinearProgram(
-        c=linearize(flat.objective, np.zeros(n)),
-        A=A,
-        senses=senses,
-        b=np.array(rhs, dtype=float),
+        c=c, A=A,
+        senses=cm.senses + np.where(ge[n_con:], SENSE_GE, SENSE_LE).tolist(),
+        b=b,
         lo=np.concatenate([lo, aux_lo]),
         hi=np.concatenate([hi, aux_hi]),
         obj_const=flat.objective.constant,
     )
-    lp.aux_terms = aux_terms
+    lp.aux_terms = [AuxTerm(col, *cm.keys[t])
+                    for col, t in enumerate(kept.tolist(), n0)]
     return lp
 
 

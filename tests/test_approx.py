@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import gdpkit.approx as approx
+from gdpkit import build_wtn_gdp, load_wtn_data
 from gdpkit.approx import (
     ApproxPolicy,
     apply_approximation,
@@ -8,8 +10,10 @@ from gdpkit.approx import (
     fit_quadratic,
 )
 from gdpkit.model import (Constraint, Disjunct, Disjunction, Expression,
-                          GdpModel, load_model, save_model)
+                          GdpModel, load_model, model_to_json, save_model)
 from gdpkit.transforms import FlatModel
+
+from test_lp import INSTANCE
 
 
 def brute_normal_equations(f, lower, upper, n):
@@ -193,3 +197,82 @@ def test_apply_rejects_flattened_model():
     flat.objective = Expression().add_power(1.0, x, 0.5)
     with pytest.raises(TypeError, match="GdpModel"):
         apply_approximation(flat, ApproxPolicy(method="quad"))
+
+
+def _uncached_apply(model, policy):
+    """apply_approximation with one fit or table per term: the loop
+    before fits were shared, kept here as the oracle."""
+    out = approx._clone(model)
+    report = []
+    for expr, site in approx._approx_sites(out):
+        concave = [t for t in expr.terms if t[0] in ("pow", "log")]
+        expr.terms = [t for t in expr.terms if t[0] not in ("pow", "log")]
+        for kind, coef, vid, exponent in concave:
+            var = out.variables[vid]
+            f = approx._term_function(kind, exponent)
+            entry = {"site": site, "kind": kind, "var": var.name,
+                     "exponent": exponent, "domain": [var.lower, var.upper],
+                     "policy": policy.method}
+            if policy.method == "quad":
+                fit = fit_quadratic(f, var.lower, var.upper)
+                expr.constant += coef * fit.c
+                expr.add_linear(coef * fit.b, vid)
+                expr.add_bilinear(coef * fit.a, vid, vid)
+                max_abs, rms = fit.max_abs_error, fit.rms_error
+            else:
+                table = build_pwl(f, var.lower, var.upper, policy.n_segments)
+                expr.add_pwl(coef, vid, table.breakpoints, table.values)
+                max_abs, rms = approx._grid_errors(table.interpolate, f,
+                                                   var.lower, var.upper)
+            entry.update(max_abs_error=max_abs, rms_error=rms)
+            report.append(entry)
+    return out, report
+
+
+def _counting(monkeypatch):
+    calls = []
+    for name in ("fit_quadratic", "build_pwl"):
+        def counted(*args, _fn=getattr(approx, name), **kwargs):
+            calls.append(args[1:3])
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(approx, name, counted)
+    return calls
+
+
+def _mixed_terms_model():
+    """Terms that share a fit (same kind, exponent and domain) and terms
+    that differ from them in one of the three, -0.0 against 0.0 too."""
+    m = GdpModel()
+    a = m.add_variable("a", 0.0, 2.0)
+    b = m.add_variable("b", 0.0, 2.0)
+    c = m.add_variable("c", 0.0, 3.0)
+    d = m.add_variable("d", -0.0, 2.0)
+    e = m.add_variable("e", 1.0, 2.0)
+    m.objective.add_power(1.0, a, 0.7).add_power(2.0, b, 0.7)
+    m.objective.add_power(1.0, c, 0.7).add_power(1.0, a, 0.5)
+    m.objective.add_power(1.0, d, 0.7).add_log(1.0, e)
+    m.add_global(Constraint(Expression().add_power(-1.0, b, 0.7)
+                            .add_log(3.0, e), "<=", 4.0, "row"))
+    return m
+
+
+@pytest.mark.parametrize("policy", [
+    ApproxPolicy("quad"), ApproxPolicy("pwl", n_segments=21)],
+    ids=["quad", "pwl21"])
+def test_one_fit_per_term_kind_and_domain(monkeypatch, policy):
+    # the shipped network's two Fin[t]**0.7 terms share one domain, so
+    # one fit serves both; model and report equal a fit per term
+    net = build_wtn_gdp(load_wtn_data(INSTANCE))
+    mixed = _mixed_terms_model()
+    want = [_uncached_apply(m, policy) for m in (net, mixed)]
+    calls = _counting(monkeypatch)
+    out, report = apply_approximation(net, policy)
+    assert len(report) == 2 and len(calls) == 1
+    assert report == want[0][1]
+    assert model_to_json(out) == model_to_json(want[0][0])
+    del calls[:]
+    out, report = apply_approximation(mixed, policy)
+    # a, b share a fit; c, a**0.5, d (-0.0) and e each need their own
+    assert len(report) == 8 and len(calls) == 5
+    assert report == want[1][1]
+    assert save_model(out) == save_model(want[1][0])

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import gdpkit.bnb as bnbmod
+from gdpkit import (ApproxPolicy, apply_approximation, bigm_transform,
+                    build_wtn_gdp, load_wtn_data)
 from gdpkit.bnb import (
+    FEAS_TOL,
     BnbNode,
     branch_select,
     feasibility_check,
@@ -13,8 +16,11 @@ from gdpkit.bnb import (
 )
 from gdpkit.lp import LpSolution, lp_solve
 from gdpkit.model import Constraint, Expression
-from gdpkit.relax import build_lp_relaxation
+from gdpkit.relax import build_lp_relaxation, compile_flat
 from gdpkit.transforms import FlatModel
+
+from test_lp import INSTANCE
+from test_relax import _random_term_flat
 
 
 def neg_product_model():
@@ -379,3 +385,125 @@ def test_random_instances_match_grid_oracle(seed):
     assert res.status == "optimal"
     assert oracle is not None
     assert abs(res.objective - oracle) <= 1e-3 * max(1.0, abs(oracle))
+
+
+# -- the shipped network: pinned searches, the compiled seams -------------
+
+SHIPPED = {
+    # policy: (nodes, objective) of the search to the 1e-4 gap; the
+    # objectives to 12 digits, as 6 decimals are off by up to 2e-9
+    # relative
+    "quad": (129, 90.5655796841),
+    "pwl21": (69, 90.3759441357),
+    "none": (116, 90.3748298262),
+}
+
+
+def _shipped_flat(name):
+    model = build_wtn_gdp(load_wtn_data(INSTANCE))
+    policy = {"quad": ApproxPolicy("quad"), "none": None,
+              "pwl21": ApproxPolicy("pwl", n_segments=21)}[name]
+    if policy is not None:
+        model, _ = apply_approximation(model, policy)
+    return bigm_transform(model)
+
+
+@pytest.fixture(scope="module", params=list(SHIPPED))
+def shipped(request):
+    flat = _shipped_flat(request.param)
+    return request.param, flat, solve_global(flat, gap=1e-4, time_limit=20)
+
+
+def test_shipped_searches_are_pinned(shipped):
+    # the node count and optimum of each search, so a change that claims
+    # the same LPs and pivots shows it walked the same tree
+    name, _, res = shipped
+    nodes, objective = SHIPPED[name]
+    assert res.status == "optimal"
+    assert res.nodes == nodes
+    assert res.objective == pytest.approx(objective, rel=1e-9)
+
+
+def _row_by_row_check(point, flat, tol):
+    """feasibility_check as a loop over Constraint.violation."""
+    violations = []
+    for v in flat.variables:
+        if v.kind == "binary":
+            err = abs(point[v.id] - round(point[v.id]))
+            if err > tol:
+                violations.append((f"integrality[{v.name}]", err))
+    for c in flat.constraints:
+        amount = c.violation(point)
+        if amount > tol:
+            violations.append((c.label, amount))
+    return not violations, violations
+
+
+def _assert_same_check(point, flat, tol, compiled=None):
+    got = feasibility_check(point, flat, tol, compiled)
+    want = _row_by_row_check(point, flat, tol)
+    assert got[0] == want[0]
+    assert [label for label, _ in got[1]] == [label for label, _ in want[1]]
+    for (_, a), (_, b) in zip(got[1], want[1]):
+        assert np.float64(a).tobytes() == np.float64(b).tobytes()
+    return got[0]
+
+
+def test_vectorized_check_matches_row_by_row_on_the_network(shipped):
+    # points around the optimum (feasible, and off by 1e-9 to 1e-4) and
+    # across the box with fractional binaries; under none the rows hold
+    # the network's own power terms
+    name, flat, res = shipped
+    compiled = compile_flat(flat)
+    rng = np.random.default_rng(7)
+    lo, hi = (np.array(a) for a in flat.bounds_arrays())
+    binary = np.array([v.kind == "binary" for v in flat.variables])
+    verdicts = set()
+    for k in range(240):
+        if k % 3 == 0 and res.x is not None:
+            point = res.x.copy()
+            if k:
+                point += rng.normal(0.0, 10.0 ** -rng.uniform(4, 9), lo.size)
+        else:
+            point = rng.uniform(lo, hi)
+            if k % 3 == 1:
+                point[binary] = np.round(point[binary])
+        point = np.clip(point, lo, hi)
+        for tol in (FEAS_TOL, 0.0):
+            verdicts.add(_assert_same_check(point, flat, tol, compiled))
+    assert verdicts == {True, False}
+
+
+def test_vectorized_check_matches_row_by_row_on_random_models():
+    rng = np.random.default_rng(67)
+    for _ in range(100):
+        flat = _random_term_flat(rng)
+        lo, hi = (np.array(a) for a in flat.bounds_arrays())
+        for _ in range(5):
+            _assert_same_check(rng.uniform(lo, hi), flat, FEAS_TOL)
+
+
+def test_each_node_builds_one_relaxation_and_one_lp(monkeypatch):
+    # bench/tracing.py times the relaxation, the LP and the check at
+    # these three names of gdpkit.bnb, one relaxation and one LP a node
+    calls = {"compile": [], "relax": [], "lp": [], "feas": []}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, attr in (("compile", "compile_flat"),
+                       ("relax", "build_lp_relaxation"), ("lp", "lp_solve"),
+                       ("feas", "feasibility_check")):
+        monkeypatch.setattr(bnbmod, attr,
+                            counting(name, getattr(bnbmod, attr)))
+    res = solve_global(_shipped_flat("quad"), gap=1e-4)
+    assert res.nodes == SHIPPED["quad"][0]
+    assert len(calls["relax"]) == len(calls["lp"]) == res.nodes
+    assert 0 < len(calls["feas"]) <= res.nodes
+    # the flat model is compiled once, and every node reads that copy
+    assert len(calls["compile"]) == 1
+    compiled = [args[3] for args in calls["relax"] + calls["feas"]]
+    assert all(c is compiled[0] for c in compiled)

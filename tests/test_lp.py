@@ -214,23 +214,25 @@ def _basis_solve(sx):
     return np.linalg.solve(A[:, sx.basis], rhs)
 
 
-def _shipped_network_lps(policy):
-    """Root relaxation of the shipped network under policy, then the
-    same box with each binary fixed to 0 and to 1 in turn, then with
-    each variable of a nonlinear term cut to either half of its range."""
-    model, _ = apply_approximation(
-        build_wtn_gdp(load_wtn_data(INSTANCE)), policy)
+def _shipped_network_boxes(policy):
+    """The shipped network flattened under policy (None keeps its power
+    terms), and its root box, then the same box with each binary fixed
+    to 0 and to 1 in turn, then with each variable of a nonlinear term
+    cut to either half of its range."""
+    model = build_wtn_gdp(load_wtn_data(INSTANCE))
+    if policy is not None:
+        model, _ = apply_approximation(model, policy)
     flat = bigm_transform(model)
     lo = np.array([v.lower for v in flat.variables])
     hi = np.array([v.upper for v in flat.variables])
-    lps = [build_lp_relaxation(flat, lo, hi)]
+    boxes = [(lo, hi)]
     for v in flat.variables:
         if v.kind != BINARY:
             continue
         for value in (0.0, 1.0):
             lo_k, hi_k = lo.copy(), hi.copy()
             lo_k[v.id] = hi_k[v.id] = value
-            lps.append(build_lp_relaxation(flat, lo_k, hi_k))
+            boxes.append((lo_k, hi_k))
     split = sorted({vid for expr in [flat.objective]
                     + [c.body for c in flat.constraints]
                     for kind, _, v, arg in expr.terms
@@ -238,9 +240,14 @@ def _shipped_network_lps(policy):
     for vid in split:
         lo_k, hi_k = lo.copy(), hi.copy()
         lo_k[vid] = hi_k[vid] = 0.5 * (lo[vid] + hi[vid])
-        lps.append(build_lp_relaxation(flat, lo, hi_k))
-        lps.append(build_lp_relaxation(flat, lo_k, hi))
-    return lps
+        boxes += [(lo, hi_k), (lo_k, hi)]
+    return flat, boxes
+
+
+def _shipped_network_lps(policy):
+    """The relaxation over each of _shipped_network_boxes."""
+    flat, boxes = _shipped_network_boxes(policy)
+    return [build_lp_relaxation(flat, lo, hi) for lo, hi in boxes]
 
 
 def test_tableau_matches_basis_solve_without_refactor(monkeypatch):
@@ -266,9 +273,10 @@ def test_tableau_matches_basis_solve_without_refactor(monkeypatch):
     assert pivots > 0
 
 
-def _full_row_eliminate(self, r, q):
+def _full_row_eliminate(self, r, q, _colq=None):
     """Reference pivot: every row with a nonzero pivot-column entry is
-    rewritten across all columns."""
+    rewritten across all columns. It copies the pivot column itself
+    rather than take the one the ratio test copied."""
     colq = self.T[:, q].copy()
     trow = self.T[r] / self.T[r, q]
     rows = np.flatnonzero(colq)
@@ -522,3 +530,28 @@ def test_solving_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_rows_are_scaled_as_negate_then_divide():
+    # one division by flip * scale equals negating the >= rows and then
+    # dividing by the scale, to the bit and to the sign of zero
+    rng = np.random.default_rng(103)
+    lps = (_shipped_network_lps(ApproxPolicy(method="quad"))
+           + [_random_lp(rng) for _ in range(40)])
+    lps.append(make_lp([1.0, 1.0], [[0.0, 0.0], [0.0, -2.0]], [">=", ">="],
+                       [0.0, -1.0], [0.0, 0.0], [1.0, 1.0]))
+    for lp in lps:
+        flip = np.where(np.asarray(lp.senses) == ">=", -1.0, 1.0)
+        A = lp.A * flip[:, None]
+        b = lp.b * flip
+        scale = np.abs(A).max(axis=1, initial=0.0)
+        scale[scale <= 0.0] = 1.0
+        A /= scale[:, None]
+        b /= scale
+        negative = b - A @ lp.lo < 0.0
+        A[negative] *= -1.0
+        b[negative] *= -1.0
+        sx = _Simplex(lp)
+        for got, want in ((sx.rows, A), (sx.b_std, b)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))

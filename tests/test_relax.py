@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from gdpkit.approx import ApproxPolicy
 from gdpkit.lp import LinearProgram, lp_solve
 from gdpkit.model import (Constraint, DomainError, Expression, interval_eval,
-                          term_interval)
+                          pwl_value, term_interval)
 from gdpkit.relax import (
+    AuxTerm,
     build_lp_relaxation,
+    compile_flat,
     concave_envelope,
     envelope_violations,
     mccormick_bilinear,
@@ -15,7 +18,7 @@ from gdpkit.relax import (
 )
 from gdpkit.transforms import FlatModel
 
-from test_lp import _highs
+from test_lp import _highs, _shipped_network_boxes
 
 
 def admitted_w(rows, x, y):
@@ -480,3 +483,242 @@ def test_aux_columns_follow_first_appearance_across_kinds():
     # repeated terms share their column
     assert list(lp.c) == [0.0, 0.0, 2.0, 0.0, 0.0]
     assert list(lp.A[0]) == [0.0, 0.0, 1.0, 4.0, -1.0]
+
+
+# -- the compiled builder against a row-by-row reference -----------------
+#
+# _reference_relaxation is the builder as it stood before the compiled
+# arrays: it walks every Expression at every box and adds each entry in
+# turn, with its own copies of the envelope formulas. The compiled
+# build_lp_relaxation must give the same LP to the byte.
+
+
+def _ref_mccormick(xl, xu, yl, yu, square):
+    if square:
+        return [({"w": 1.0, "x": -2.0 * xl}, ">=", -xl * xl),
+                ({"w": 1.0, "x": -2.0 * xu}, ">=", -xu * xu),
+                ({"w": 1.0, "x": -(xl + xu)}, "<=", -xl * xu)]
+    return [({"w": 1.0, "x": -yl, "y": -xl}, ">=", -xl * yl),
+            ({"w": 1.0, "x": -yu, "y": -xu}, ">=", -xu * yu),
+            ({"w": 1.0, "x": -yl, "y": -xu}, "<=", -xu * yl),
+            ({"w": 1.0, "x": -yu, "y": -xl}, "<=", -xl * yu)]
+
+
+def _ref_concave(kind, lo, up, p):
+    if kind == "pow":
+        f, fprime = (lambda x: x**p), (lambda x: p * x ** (p - 1.0))
+    else:
+        f, fprime = math.log, (lambda x: 1.0 / x)
+    slope = (f(up) - f(lo)) / (up - lo)
+    rows = [({"w": 1.0, "x": -slope}, ">=", f(lo) - slope * lo)]
+    for t in np.linspace(lo, up, 3):
+        if kind == "pow" and t <= 0.0:
+            t = lo + (up - lo) * 1e-6
+        g = fprime(t)
+        rows.append(({"w": 1.0, "x": -g}, "<=", f(t) - g * t))
+    return rows
+
+
+def _ref_pwl(table, lo, up):
+    f_lo, f_up = pwl_value(table, lo), pwl_value(table, up)
+    slope = (f_up - f_lo) / (up - lo)
+    rows = [({"w": 1.0, "x": -slope}, ">=", f_lo - slope * lo)]
+    xs, ys = table
+    for k in range(len(xs) - 1):
+        if xs[k] < up and xs[k + 1] > lo:
+            g = (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
+            rows.append(({"w": 1.0, "x": -g}, "<=", ys[k] - g * xs[k]))
+    return rows
+
+
+def _reference_relaxation(flat, lo, hi):
+    n0 = len(flat.variables)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+
+    def folds(kind, v, arg):
+        return (kind == "bil" and v != arg
+                and (lo[v] == hi[v] or lo[arg] == hi[arg]))
+
+    order = {}
+    for expr in [flat.objective] + [c.body for c in flat.constraints]:
+        for kind, _, v, arg in expr.terms:
+            if not folds(kind, v, arg):
+                order.setdefault((kind, v, arg), n0 + len(order))
+    n = n0 + len(order)
+    aux_lo, aux_hi, env_rows = [], [], []
+    for (kind, v, arg), col in order.items():
+        t_lo, t_hi = term_interval(kind, lo, hi, v, arg)
+        aux_lo.append(t_lo)
+        aux_hi.append(t_hi)
+        xl, xu = float(lo[v]), float(hi[v])
+        if kind == "bil":
+            env = _ref_mccormick(xl, xu, float(lo[arg]), float(hi[arg]),
+                                 v == arg)
+            symbols = {"w": col, "x": v, "y": arg}
+        elif hi[v] - lo[v] > 1e-12:
+            env = (_ref_pwl(arg, xl, xu) if kind == "pwl"
+                   else _ref_concave(kind, xl, xu, arg))
+            symbols = {"w": col, "x": v}
+        else:
+            continue
+        env_rows += [(row, symbols) for row in env]
+
+    n_con = len(flat.constraints)
+    A = np.zeros((n_con + len(env_rows), n))
+
+    def linearize(expr, coefs):
+        for cf, v in expr.linear:
+            coefs[v] += cf
+        for kind, cf, v, arg in expr.terms:
+            col = order.get((kind, v, arg))
+            if col is not None:
+                coefs[col] += cf
+            elif lo[arg] == hi[arg]:
+                coefs[v] += cf * lo[arg]
+            else:
+                coefs[arg] += cf * lo[v]
+        return coefs
+
+    senses, rhs = [], []
+    for coefs, c in zip(A, flat.constraints):
+        linearize(c.body, coefs)
+        senses.append(c.sense)
+        rhs.append(c.rhs - c.body.constant)
+    for coefs, ((row, sense, b), symbols) in zip(A[n_con:], env_rows):
+        for sym, cf in row.items():
+            coefs[symbols[sym]] += cf
+        senses.append(sense)
+        rhs.append(b)
+    lp = LinearProgram(c=linearize(flat.objective, np.zeros(n)), A=A,
+                       senses=senses, b=np.array(rhs, dtype=float),
+                       lo=np.concatenate([lo, aux_lo]),
+                       hi=np.concatenate([hi, aux_hi]),
+                       obj_const=flat.objective.constant)
+    lp.aux_terms = [AuxTerm(col, *key) for key, col in order.items()]
+    return lp
+
+
+def assert_same_lp(lp, ref):
+    """Byte-identical: every array equal with equal signs of zero, the
+    same senses, aux terms and objective constant."""
+    for name in ("c", "A", "b", "lo", "hi"):
+        got, want = getattr(lp, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+    assert lp.senses == ref.senses
+    assert lp.aux_terms == ref.aux_terms
+    assert lp.obj_const == ref.obj_const
+
+
+def _random_term_flat(rng):
+    """A flat model over every term kind: products, squares and a
+    repeated product, pow over a box from 0, log and a pwl table over
+    its whole box, with constants, repeated linear entries and rows of
+    each sense."""
+    flat = FlatModel(sense="min")
+    n = int(rng.integers(3, 6))
+    for i in range(n):
+        low = float(rng.choice([0.0, -0.0, -1.0, rng.uniform(-2, 2)]))
+        flat.add_variable(f"v{i}", low, low + float(rng.uniform(0.5, 3.0)))
+    p = flat.add_variable("p", 0.0, float(rng.uniform(1, 4)))
+    g = flat.add_variable("g", float(rng.uniform(0.1, 1)), 5.0)
+    t = flat.add_variable("t", 1.0, 4.0)
+    xs = np.linspace(1.0, 4.0, int(rng.integers(2, 8)))
+    table = (xs, np.sqrt(xs) * float(rng.uniform(0.5, 2)))
+
+    def expression():
+        e = Expression(float(rng.choice([0.0, -0.0, rng.uniform(-1, 1)])))
+        if rng.random() < 0.3:
+            # three entries in one cell: their sum depends on the order
+            v = int(rng.integers(0, n))
+            for cf in rng.uniform(-3, 3, 3):
+                e.add_linear(float(cf), v)
+        for _ in range(int(rng.integers(1, 7))):
+            roll = rng.random()
+            i, j = (int(k) for k in rng.integers(0, n, 2))
+            cf = float(rng.choice([-2.0, -1.0, 0.5, 1.0, rng.uniform(-3, 3)]))
+            if roll < 0.3:
+                e.add_linear(cf, i)
+            elif roll < 0.55:
+                e.add_bilinear(cf, i, j)
+            elif roll < 0.65:
+                e.add_bilinear(cf, i, i)
+            elif roll < 0.75:
+                e.add_power(cf, p, float(rng.uniform(0.2, 0.9)))
+            elif roll < 0.85:
+                e.add_log(cf, g)
+            else:
+                e.add_pwl(cf, t, *table)
+        return e
+
+    flat.objective = expression()
+    for r in range(int(rng.integers(1, 5))):
+        flat.add_constraint(Constraint(expression(), str(rng.choice(
+            ["<=", ">=", "="])), float(rng.uniform(-2, 2)), f"r{r}"),
+            {"kind": "global"})
+    return flat
+
+
+def _random_box(rng, flat):
+    """The model's box with each variable kept, cut, fixed, or cut to a
+    degenerate width below the envelopes' 1e-12 threshold. A quarter of
+    the cuts fall on 0.0, -0.0 or a pwl breakpoint, where ties and
+    signed zeros decide bounds and rows."""
+    lo, hi = (np.array(a) for a in flat.bounds_arrays())
+    anchors = [0.0, -0.0] + [x for e in [flat.objective]
+                             + [c.body for c in flat.constraints]
+                             for kind, _, _, arg in e.terms if kind == "pwl"
+                             for x in arg[0]]
+    for v in range(len(lo)):
+        roll = rng.random()
+        point = float(rng.uniform(lo[v], hi[v]))
+        inside = [a for a in anchors if lo[v] <= a <= hi[v]]
+        if inside and rng.random() < 0.25:
+            point = inside[int(rng.integers(len(inside)))]
+        if roll < 0.3:
+            lo[v] = hi[v] = point
+        elif roll < 0.4:
+            width = 1e-13 if point + 1e-13 <= hi[v] else -1e-13
+            lo[v], hi[v] = sorted((point, point + width))
+        elif roll < 0.7:
+            lo[v], hi[v] = sorted((point, float(rng.uniform(lo[v], hi[v]))))
+    return lo, hi
+
+
+def test_compiled_relaxation_matches_reference_on_random_models():
+    rng = np.random.default_rng(61)
+    seen = {"fold": 0, "both fixed": 0, "square": 0, "degenerate": 0,
+            "pow": 0, "log": 0, "pwl": 0}
+    for _ in range(150):
+        flat = _random_term_flat(rng)
+        compiled = compile_flat(flat)
+        for _ in range(4):
+            lo, hi = _random_box(rng, flat)
+            ref = _reference_relaxation(flat, lo, hi)
+            assert_same_lp(build_lp_relaxation(flat, lo, hi, compiled), ref)
+            assert_same_lp(build_lp_relaxation(flat, lo, hi), ref)
+            kept = {(t.kind, t.var, t.arg) for t in ref.aux_terms}
+            for kind, v, arg in compiled.keys:
+                if kind == "bil" and v != arg and (kind, v, arg) not in kept:
+                    seen["fold"] += 1
+                    seen["both fixed"] += lo[v] == hi[v] and lo[arg] == hi[arg]
+                elif kind == "bil" and v == arg:
+                    seen["square"] += 1
+                elif kind != "bil":
+                    seen[kind] += 1
+                    seen["degenerate"] += 0 < hi[v] - lo[v] <= 1e-12
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("policy", [
+    ApproxPolicy("quad"), ApproxPolicy("pwl", n_segments=21), None],
+    ids=["quad", "pwl21", "none"])
+def test_compiled_relaxation_matches_reference_on_shipped_boxes(policy):
+    flat, boxes = _shipped_network_boxes(policy)
+    compiled = compile_flat(flat)
+    for lo, hi in boxes:
+        assert_same_lp(build_lp_relaxation(flat, lo, hi, compiled),
+                       _reference_relaxation(flat, lo, hi))
+    assert len(boxes) == 81
