@@ -46,10 +46,6 @@ class PwlTable:
     def interpolate(self, x):
         return np.interp(x, self.breakpoints, self.values)
 
-    def max_grid_error(self, f: Callable) -> float:
-        return _grid_errors(self.interpolate, f, self.breakpoints[0],
-                            self.breakpoints[-1])[0]
-
 
 @dataclass
 class ApproxPolicy:
@@ -145,7 +141,8 @@ def apply_approximation(model: GdpModel, policy: ApproxPolicy):
     and certified errors. Every other term, pwl ones included, is
     untouched, and each replacement stays in the row it came from. A
     term of the same kind and exponent over the same domain is fitted
-    and certified once per call.
+    and certified once per call. A domain too narrow to fit (the fits'
+    own 1e-12 test) makes the term the constant coef * f(lower).
     """
     out = _clone(model)
     report: list[dict] = []
@@ -165,7 +162,9 @@ def apply_approximation(model: GdpModel, policy: ApproxPolicy):
                 fits[key] = _fit(_term_function(kind, exponent), var.lower,
                                  var.upper, policy)
             approx, max_abs, rms = fits[key]
-            if policy.method == "quad":
+            if isinstance(approx, float):
+                expr.constant += coef * approx
+            elif policy.method == "quad":
                 expr.constant += coef * approx.c
                 expr.add_linear(coef * approx.b, vid)
                 expr.add_bilinear(coef * approx.a, vid, vid)
@@ -183,7 +182,12 @@ def apply_approximation(model: GdpModel, policy: ApproxPolicy):
 
 def _fit(f: Callable, lower: float, upper: float, policy: ApproxPolicy):
     """The policy's QuadFit or PwlTable for f on [lower, upper], with
-    its grid-certified max and RMS errors."""
+    its grid-certified max and RMS errors; on a domain too narrow to
+    fit, the value f(lower), off by at most |f(upper) - f(lower)|."""
+    if not upper - lower > 1e-12:
+        value = float(f(lower))
+        error = abs(float(f(upper)) - value)
+        return value, error, error
     if policy.method == "quad":
         fit = fit_quadratic(f, lower, upper)
         return fit, fit.max_abs_error, fit.rms_error

@@ -157,7 +157,10 @@ def run_pipeline(args: argparse.Namespace) -> int:
     text = json.dumps(_finite_or_null(report), indent=2,
                       allow_nan=False) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            return _fail(f"cannot write {args.out!r}: {exc.strerror}")
     else:
         sys.stdout.write(text)
     return _STATUS_EXIT.get(result.status, EXIT_LIMIT)

@@ -8,7 +8,10 @@ of a concave table's graph for piecewise-linear terms. A product with
 a fixed factor (lo == hi) is linear over the box: it becomes a
 coefficient on the other factor, with no column and no rows. Shrinking
 the box can only tighten the result; a degenerate box forces any other
-auxiliary to the exact term value.
+auxiliary to the exact term value. The envelope formulas are defined
+once, in the *_lines functions, and build_lp_relaxation is the one way
+to their rows: as rows of the LP over a box, which is what the simplex
+solves and what the tests certify.
 
 A flat model is compiled once per solve (compile_flat): its distinct
 terms in order of first appearance, each row's linear and term entries
@@ -26,106 +29,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (BINARY, SENSE_EQ, SENSE_GE, SENSE_LE, DomainError,
-                    pwl_value, term_interval, term_value)
+from .model import (BINARY, SENSE_EQ, SENSE_GE, SENSE_LE, pwl_value,
+                    term_interval, term_value)
 from .lp import LinearProgram
 from .transforms import FlatModel
 
 N_TANGENTS = 3
 
 
-@dataclass
-class EnvelopeRow:
-    """Linear inequality over the symbols 'w', 'x' and optionally 'y'."""
-
-    coefs: dict[str, float]
-    sense: str
-    rhs: float
-
-    def residual(self, w: float, x: float, y: float = 0.0) -> float:
-        """Nonnegative violation at a point."""
-        val = (self.coefs.get("w", 0.0) * w + self.coefs.get("x", 0.0) * x
-               + self.coefs.get("y", 0.0) * y)
-        if self.sense == SENSE_LE:
-            return max(0.0, val - self.rhs)
-        if self.sense == SENSE_GE:
-            return max(0.0, self.rhs - val)
-        return abs(val - self.rhs)
-
-
-@dataclass
-class EnvelopeRows:
-    rows: list[EnvelopeRow]
-
-
-# Every envelope row reads w + ax*x (+ ay*y) >= or <= rhs. The *_lines
-# functions give ax, ay, the senses and rhs; the builder and the
-# EnvelopeRows functions below share them. The McCormick and square
-# ones take arrays, one entry per term.
+# Every envelope row reads w + ax*x (+ ay*y) >= or <= rhs, for the aux
+# column w of one term over the node's box, its >= rows first. The
+# *_lines functions give ax, ay and rhs, the concave and pwl ones the
+# senses too; build_lp_relaxation is their one caller. The McCormick and
+# square ones take arrays, one entry per term; the concave and pwl ones
+# take one term's box, wider than 1e-12 and inside the term's domain
+# (term_interval has checked it).
 
 _MCCORMICK_SENSES = (SENSE_GE, SENSE_GE, SENSE_LE, SENSE_LE)
 _SQUARE_SENSES = (SENSE_GE, SENSE_GE, SENSE_LE)
 
 
 def _mccormick_lines(xl, xu, yl, yu):
+    """The four McCormick rows for w = x*y: the convex hull over the box."""
     return (np.array([-yl, -yu, -yl, -yu]), np.array([-xl, -xu, -xu, -xl]),
             np.array([-xl * yl, -xu * yu, -xu * yl, -xl * yu]))
 
 
 def _square_lines(xl, xu):
+    """w = x*x: the endpoint tangents below, the chord above."""
     return (np.array([-2.0 * xl, -2.0 * xu, -(xl + xu)]),
             np.array([-xl * xl, -xu * xu, -xl * xu]))
 
 
-def _envelope_rows(ax, rhs, senses, ay=None) -> EnvelopeRows:
-    rows = []
-    for k, sense in enumerate(senses):
-        coefs = {"w": 1.0, "x": float(ax[k])}
-        if ay is not None:
-            coefs["y"] = float(ay[k])
-        rows.append(EnvelopeRow(coefs, sense, float(rhs[k])))
-    return EnvelopeRows(rows)
+def _concave_lines(kind: str, lo: float, up: float, exponent):
+    """Secant below, tangents above, for concave f on [lo, up].
 
-
-def mccormick_bilinear(x_bounds, y_bounds, square: bool = False) -> EnvelopeRows:
-    """Convex hull rows for w = x*y over a box.
-
-    With square=True the factors are the same variable and the rows
-    collapse to the chord above and the endpoint tangents below.
+    f lies above its chord and below every tangent, so
+    secant(x) <= w <= tangent_i(x) is a valid enclosure of w = f(x).
+    N_TANGENTS tangent points are uniform over the domain, ends
+    included; a point where f' blows up (x = 0 for powers) is nudged
+    inward.
     """
-    xl, xu = float(x_bounds[0]), float(x_bounds[1])
-    yl, yu = float(y_bounds[0]), float(y_bounds[1])
-    for v in (xl, xu, yl, yu):
-        if not math.isfinite(v):
-            raise ValueError("McCormick rows need finite bounds")
-    if square:
-        return _envelope_rows(*_square_lines(xl, xu), _SQUARE_SENSES)
-    ax, ay, rhs = _mccormick_lines(xl, xu, yl, yu)
-    return _envelope_rows(ax, rhs, _MCCORMICK_SENSES, ay)
-
-
-def _concave_parts(kind: str, exponent: float | None):
     if kind == "pow":
         p = float(exponent)
-        return (lambda x: x**p), (lambda x: p * x ** (p - 1.0))
-    if kind == "log":
-        return math.log, (lambda x: 1.0 / x)
-    raise ValueError(f"no concave envelope for term kind {kind!r}")
-
-
-def _degenerate_check(lo: float, up: float) -> None:
-    if not up - lo > 1e-12:
-        raise ValueError(f"degenerate envelope domain [{lo}, {up}]")
-
-
-def _concave_lines(kind: str, lo: float, up: float, exponent):
-    _degenerate_check(lo, up)
-    if kind == "log" and lo <= 0.0:
-        raise DomainError("log envelope needs a strictly positive lower bound")
-    if kind == "pow" and lo < 0.0:
-        raise DomainError("power envelope needs a nonnegative lower bound")
-
-    f, fprime = _concave_parts(kind, exponent)
+        f, fprime = (lambda x: x**p), (lambda x: p * x ** (p - 1.0))
+    else:
+        f, fprime = math.log, (lambda x: 1.0 / x)
     slope = (f(up) - f(lo)) / (up - lo)
     ax, rhs = [-slope], [f(lo) - slope * lo]
     for t in np.linspace(lo, up, N_TANGENTS):
@@ -137,20 +86,6 @@ def _concave_lines(kind: str, lo: float, up: float, exponent):
     return ax, rhs, (SENSE_GE,) + (SENSE_LE,) * N_TANGENTS
 
 
-def concave_envelope(kind: str, bounds, exponent: float | None = None
-                     ) -> EnvelopeRows:
-    """Secant below, tangents above, for concave f on [L, U].
-
-    f lies above its chord and below every tangent, so
-    secant(x) <= w <= tangent_i(x) is a valid enclosure of w = f(x).
-    N_TANGENTS tangent points are uniform over the domain, ends
-    included; a point where f' blows up (x = 0 for powers) is nudged
-    inward.
-    """
-    return _envelope_rows(*_concave_lines(kind, float(bounds[0]),
-                                          float(bounds[1]), exponent))
-
-
 def _segment_lines(table):
     """Each segment's breakpoints, slope and intercept."""
     xs, ys = (np.array(t, dtype=float) for t in table)
@@ -159,7 +94,12 @@ def _segment_lines(table):
 
 
 def _pwl_lines(table, segments, lo: float, up: float):
-    _degenerate_check(lo, up)
+    """Convex hull of a concave table's graph over [lo, up]: the chord
+    below, and above it the line of each segment that meets (lo, up).
+
+    Once [lo, up] lies inside one segment the chord is that segment's
+    line, so the rows pin w to the table.
+    """
     f_lo, f_up = pwl_value(table, lo), pwl_value(table, up)
     slope = (f_up - f_lo) / (up - lo)
     xs, g, c = segments
@@ -167,17 +107,6 @@ def _pwl_lines(table, segments, lo: float, up: float):
     ax = np.concatenate([[-slope], -g[meets]])
     rhs = np.concatenate([[f_lo - slope * lo], c[meets]])
     return ax, rhs, (SENSE_GE,) + (SENSE_LE,) * (ax.size - 1)
-
-
-def pwl_envelope(table, bounds) -> EnvelopeRows:
-    """Convex hull of a concave table's graph over [L, U]: the chord
-    below, and above it the line of each segment that meets (L, U).
-
-    Once [L, U] lies inside one segment the chord is that segment's
-    line, so the rows pin w to the table.
-    """
-    return _envelope_rows(*_pwl_lines(table, _segment_lines(table),
-                                      float(bounds[0]), float(bounds[1])))
 
 
 # -- whole-model relaxation --------------------------------------------

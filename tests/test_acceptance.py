@@ -12,7 +12,6 @@ import pytest
 from gdpkit.approx import ApproxPolicy, apply_approximation, build_pwl, fit_quadratic
 from gdpkit.bnb import feasibility_check, relative_gap, solve_global
 from gdpkit.model import Constraint, Expression
-from gdpkit.relax import concave_envelope, mccormick_bilinear
 from gdpkit.transforms import bigm_transform, compute_bigm
 from gdpkit.wtn import (
     build_wtn_gdp,
@@ -24,6 +23,7 @@ from gdpkit.wtn import (
 
 import test_bnb
 import test_wtn
+from test_relax import envelope_lp, row_violations
 
 
 def _report(number: int, description: str, ok: bool):
@@ -42,40 +42,37 @@ def test_criterion_1_relative_error_metric():
 # -- 2: envelope soundness ---------------------------------------------
 
 def test_criterion_2_envelope_soundness():
+    # the rows build_lp_relaxation emits for one product, and for one
+    # concave power or log, over each random box
     rng = np.random.default_rng(2024)
     worst = 0.0
+    rows = 0
     for _ in range(500):
         xl = rng.uniform(-3, 3)
         xu = xl + rng.uniform(1e-3, 4)
         yl = rng.uniform(-3, 3)
         yu = yl + rng.uniform(1e-3, 4)
-        env = mccormick_bilinear((xl, xu), (yl, yu))
+        lp = envelope_lp("bil", [xl, yl], [xu, yu])
         xs = rng.uniform(xl, xu, 100)
         ys = rng.uniform(yl, yu, 100)
-        for row in env.rows:
-            cw = row.coefs["w"]
-            vals = (cw * xs * ys + row.coefs.get("x", 0.0) * xs
-                    + row.coefs.get("y", 0.0) * ys)
-            resid = vals - row.rhs if row.sense == "<=" else row.rhs - vals
-            worst = max(worst, float(resid.max()))
+        worst = max(worst, float(row_violations(lp, (xs, ys, xs * ys)).max()))
+        rows += lp.A.shape[0]
 
         lo = rng.uniform(0.05, 2.0)
         up = lo + rng.uniform(1e-2, 5.0)
         if rng.random() < 0.5:
             expo = float(rng.uniform(0.1, 0.9))
-            env = concave_envelope("pow", (lo, up), exponent=expo)
+            lp = envelope_lp("pow", [lo], [up], expo)
             f = lambda v: v**expo
         else:
-            env = concave_envelope("log", (lo, up))
+            lp = envelope_lp("log", [lo], [up])
             f = np.log
         xs = rng.uniform(lo, up, 100)
-        ws = f(xs)
-        for row in env.rows:
-            vals = row.coefs["w"] * ws + row.coefs.get("x", 0.0) * xs
-            resid = vals - row.rhs if row.sense == "<=" else row.rhs - vals
-            worst = max(worst, float(resid.max()))
-    _report(2, f"500x100 envelope samples sound (worst residual {worst:.2e})",
-            worst <= 1e-9)
+        worst = max(worst, float(row_violations(lp, (xs, f(xs))).max()))
+        rows += lp.A.shape[0]
+    _report(2, f"500x100 samples of the builder's {rows} envelope rows "
+               f"sound (worst residual {worst:.2e})",
+            rows == 500 * 8 and worst <= 1e-9)
 
 
 # -- 3: big-M validity --------------------------------------------------

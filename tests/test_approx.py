@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -76,8 +78,11 @@ def test_fit_degenerate_domain_rejected():
 
 
 def test_pwl_linear_function_exact():
-    table = build_pwl(lambda x: np.asarray(x, dtype=float), 0.0, 1.0, 4)
-    assert table.max_grid_error(lambda x: np.asarray(x, dtype=float)) <= 1e-12
+    # the table and the errors apply_approximation reports for it
+    table, max_abs, rms = approx._fit(lambda x: np.asarray(x, dtype=float),
+                                      0.0, 1.0, ApproxPolicy("pwl", 4))
+    assert len(table.breakpoints) == 5
+    assert max_abs <= 1e-12 and rms <= 1e-12
 
 
 def test_pwl_breakpoint_exactness():
@@ -181,6 +186,34 @@ def test_approximated_model_round_trips_byte_for_byte():
         again = load_model(text)
         assert save_model(again) == text
         assert again.objective.terms == out.objective.terms
+
+
+@pytest.mark.parametrize("method", ["quad", "pwl"])
+def test_term_too_narrow_to_fit_becomes_its_value(method):
+    # a domain of width <= 1e-12 has no fit or table; the term is the
+    # constant coef * f(lower), off by at most |f(upper) - f(lower)|
+    m = GdpModel()
+    x = m.add_variable("x", 2.0, 2.0)
+    g = m.add_variable("g", 3.0, 3.0 + 1e-13)
+    m.objective.add_power(-1.0, x, 0.7).add_log(2.0, g).add_linear(1.0, g)
+    m.add_global(Constraint(Expression(0.5).add_power(4.0, x, 0.7), "<=",
+                            9.0, "cap"))
+    out, report = apply_approximation(m, ApproxPolicy(method, n_segments=5))
+    assert out.objective.terms == [] and out.globals[0].body.terms == []
+    assert out.objective.linear == [(1.0, g)]
+    assert out.objective.constant == pytest.approx(
+        -(2.0**0.7) + 2.0 * math.log(3.0), rel=1e-15)
+    assert out.globals[0].body.constant == pytest.approx(0.5 + 4.0 * 2.0**0.7,
+                                                         rel=1e-15)
+    log_error = pytest.approx(abs(math.log(3.0 + 1e-13) - math.log(3.0)),
+                              rel=1e-9)
+    assert 0.0 < log_error.expected < 1e-13
+    assert [(r["site"], r["kind"], r["var"], r["domain"], r["policy"],
+             r["max_abs_error"], r["rms_error"]) for r in report] == [
+        ("objective", "pow", "x", [2.0, 2.0], method, 0.0, 0.0),
+        ("objective", "log", "g", [3.0, 3.0 + 1e-13], method, log_error,
+         log_error),
+        ("cap", "pow", "x", [2.0, 2.0], method, 0.0, 0.0)]
 
 
 def test_apply_rejects_unbounded_variable():

@@ -82,6 +82,36 @@ def test_pwl_report_states_its_exact_row_violation(tmp_path):
     assert result["original_violation"] == pytest.approx(1.81e-3, rel=0.01)
 
 
+def test_term_on_a_fixed_variable_solves_under_every_policy(tmp_path):
+    # quad and pwl make the term its value; none relaxes it exactly
+    m = GdpModel()
+    x = m.add_variable("x", 2.0, 2.0)
+    m.objective.add_power(-1.0, x, 0.7)
+    model = tmp_path / "model.json"
+    model.write_text(save_model(m))
+    objectives = {}
+    for approx in ("none", "quad", "pwl"):
+        out = tmp_path / f"{approx}.json"
+        assert run(["--model", str(model), "--approx", approx,
+                    "--out", str(out)]) == 0
+        objectives[approx] = json.loads(out.read_text())["result"]["objective"]
+    assert objectives["none"] == pytest.approx(-(2.0**0.7), abs=1e-9)
+    for approx in ("quad", "pwl"):
+        assert objectives[approx] == pytest.approx(objectives["none"],
+                                                   abs=1e-9)
+
+
+def test_unwritable_report_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert run(["--model", str(bilinear_model_file(tmp_path)),
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        f"gdpkit: error: cannot write {str(out)!r}: No such file or directory")
+    assert not out.parent.exists()
+
+
 def test_invalid_model_is_usage_error(tmp_path, capsys):
     m = GdpModel()
     x = m.add_variable("x", 0.0, 1.0)

@@ -11,51 +11,73 @@ from gdpkit.relax import (
     AuxTerm,
     build_lp_relaxation,
     compile_flat,
-    concave_envelope,
     envelope_violations,
-    mccormick_bilinear,
-    pwl_envelope,
 )
 from gdpkit.transforms import FlatModel
 
 from test_lp import _highs, _shipped_network_boxes
 
 
-def admitted_w(rows, x, y):
-    """Interval of w values the envelope rows allow at a fixed (x, y)."""
-    lo, hi = -math.inf, math.inf
-    for row in rows:
-        cw = row.coefs.get("w", 0.0)
-        rest = row.coefs.get("x", 0.0) * x + row.coefs.get("y", 0.0) * y
-        bound = (row.rhs - rest) / cw
-        if (row.sense == "<=") == (cw > 0):
-            hi = min(hi, bound)
-        else:
-            lo = max(lo, bound)
-    return lo, hi
+# -- envelope rows as build_lp_relaxation emits them ---------------------
+
+
+def envelope_lp(kind, lo, hi, arg=None):
+    """The LP build_lp_relaxation emits over the box [lo, hi] for a flat
+    model whose objective is one term: with kind "bil", x*y over two
+    bounds or x*x over one; otherwise (kind, x, arg), as in
+    Expression.terms. With no model rows, each row is one of the
+    term's envelope rows, over the columns (x, [y,] w)."""
+    flat = FlatModel(sense="min")
+    ids = [flat.add_variable(f"v{i}", a, b)
+           for i, (a, b) in enumerate(zip(lo, hi))]
+    flat.objective.terms.append(
+        (kind, 1.0, ids[0], ids[-1] if kind == "bil" else arg))
+    lp = build_lp_relaxation(flat, lo, hi)
+    assert (lp.A[:, -1] == 1.0).all()  # every row reads w + ... sense rhs
+    return lp
+
+
+def row_violations(lp, point):
+    """Each row's nonnegative violation at point, one number or array
+    per column in column order; arrays give one column per sample."""
+    vals = lp.A @ np.array(np.broadcast_arrays(*point), dtype=float)
+    b = lp.b.reshape((-1,) + (1,) * (vals.ndim - 1))
+    ge = (np.array(lp.senses) == ">=").reshape(b.shape)
+    return np.maximum(np.where(ge, b - vals, vals - b), 0.0)
+
+
+def admitted_w(lp, *point):
+    """Interval of w values an envelope_lp's rows allow with the other
+    columns at point."""
+    bound = lp.b - lp.A[:, :-1] @ np.array(point, dtype=float)
+    ge = np.array(lp.senses) == ">="
+    return bound[ge].max(initial=-math.inf), bound[~ge].min(initial=math.inf)
 
 
 def test_mccormick_unit_box_rows():
-    env = mccormick_bilinear((0.0, 1.0), (0.0, 1.0))
-    assert len(env.rows) == 4
-    lo, hi = admitted_w(env.rows, 1.0, 1.0)
+    lp = envelope_lp("bil", [0.0, 0.0], [1.0, 1.0])
+    assert lp.A.shape == (4, 3)
+    lo, hi = admitted_w(lp, 1.0, 1.0)
     assert lo == pytest.approx(1.0) and hi == pytest.approx(1.0)
-    lo, hi = admitted_w(env.rows, 0.5, 0.5)
+    lo, hi = admitted_w(lp, 0.5, 0.5)
     assert lo == pytest.approx(0.0) and hi == pytest.approx(0.5)
     assert lo - 1e-12 <= 0.25 <= hi + 1e-12
 
 
 def test_mccormick_degenerate_factor_pins_product():
-    env = mccormick_bilinear((2.0, 2.0), (-1.0, 3.0))
+    # a factor the box fixes makes the product exact: 2*y, as y's
+    # coefficient, with no column and no rows
+    lp = envelope_lp("bil", [2.0, -1.0], [2.0, 3.0])
+    assert lp.A.shape == (0, 2) and lp.aux_terms == []
     for y in (-1.0, 0.7, 3.0):
-        lo, hi = admitted_w(env.rows, 2.0, y)
-        assert lo == pytest.approx(2.0 * y, abs=1e-12)
-        assert hi == pytest.approx(2.0 * y, abs=1e-12)
+        assert lp.c @ [2.0, y] == pytest.approx(2.0 * y, abs=1e-12)
 
 
 def test_mccormick_requires_finite_bounds():
-    with pytest.raises(ValueError):
-        mccormick_bilinear((0.0, math.inf), (0.0, 1.0))
+    # inf * 0 makes a corner nan before the check
+    with pytest.raises(ValueError, match="finite bounds"), \
+            np.errstate(invalid="ignore"):
+        envelope_lp("bil", [0.0, 0.0], [math.inf, 1.0])
 
 
 def test_mccormick_tight_at_every_corner():
@@ -65,59 +87,58 @@ def test_mccormick_tight_at_every_corner():
         xu = xl + rng.uniform(0.1, 4)
         yl = rng.uniform(-3, 3)
         yu = yl + rng.uniform(0.1, 4)
-        env = mccormick_bilinear((xl, xu), (yl, yu))
+        lp = envelope_lp("bil", [xl, yl], [xu, yu])
         for x in (xl, xu):
             for y in (yl, yu):
-                lo, hi = admitted_w(env.rows, x, y)
+                lo, hi = admitted_w(lp, x, y)
                 assert lo == pytest.approx(x * y, abs=1e-9)
                 assert hi == pytest.approx(x * y, abs=1e-9)
 
 
 def test_square_specialization_chord_and_tangents():
-    env = mccormick_bilinear((-1.0, 2.0), (-1.0, 2.0), square=True)
-    assert len(env.rows) == 3
-    for x in np.linspace(-1.0, 2.0, 23):
-        w = x * x
-        for row in env.rows:
-            assert row.residual(w, x) <= 1e-12
+    lp = envelope_lp("bil", [-1.0], [2.0])
+    assert lp.A.shape == (3, 2)
+    xs = np.linspace(-1.0, 2.0, 23)
+    assert row_violations(lp, (xs, xs * xs)).max() <= 1e-12
 
 
-def test_concave_envelope_power_sandwich():
-    env = concave_envelope("pow", (1.0, 2.0), exponent=0.7)
-    secant = env.rows[0]
-    # chord at the midpoint: (1 + 2**0.7) / 2
-    val = secant.rhs + 0.5 * (1.0 + 2.0**0.7) * 0  # rows are w-relative
-    lo, hi = admitted_w(env.rows, 1.5, 0.0)
+def test_concave_rows_power_sandwich():
+    lp = envelope_lp("pow", [1.0], [2.0], 0.7)
+    lo, hi = admitted_w(lp, 1.5)
+    # the chord at the midpoint: (1 + 2**0.7) / 2
     assert lo == pytest.approx(1.3122523963562354, abs=1e-12)
     f_mid = 1.5**0.7
     assert f_mid == pytest.approx(1.328201239943334, abs=1e-12)
     assert lo - 1e-12 <= f_mid <= hi + 1e-12
 
 
-def test_concave_envelope_endpoints_tight():
-    env = concave_envelope("pow", (1.0, 2.0), exponent=0.7)
+def test_concave_rows_endpoints_tight():
+    lp = envelope_lp("pow", [1.0], [2.0], 0.7)
     for x, f in ((1.0, 1.0), (2.0, 2.0**0.7)):
-        lo, hi = admitted_w(env.rows, x, 0.0)
+        lo, hi = admitted_w(lp, x)
         assert lo == pytest.approx(f, abs=1e-12)
         assert hi == pytest.approx(f, abs=1e-12)
 
 
 def test_log_tangent_at_one():
-    env = concave_envelope("log", (1.0, math.e))
-    tangent_at_lo = env.rows[1]
-    assert tangent_at_lo.sense == "<="
-    assert tangent_at_lo.coefs["x"] == pytest.approx(-1.0)
-    assert tangent_at_lo.rhs == pytest.approx(-1.0)  # w <= x - 1
-    assert tangent_at_lo.residual(0.0, 1.0) == 0.0
+    lp = envelope_lp("log", [1.0], [math.e])
+    # row 0 is the chord, row 1 the tangent at the lower end
+    assert lp.senses[1] == "<="
+    assert lp.A[1, 0] == pytest.approx(-1.0)
+    assert lp.b[1] == pytest.approx(-1.0)  # w <= x - 1
+    assert row_violations(lp, (1.0, 0.0))[1] == 0.0
 
 
-def test_concave_envelope_domain_checks():
+def test_concave_rows_domain_checks():
+    # the term's interval rejects these boxes before any row is made
     with pytest.raises(DomainError):
-        concave_envelope("log", (0.0, 1.0))
+        envelope_lp("log", [0.0], [1.0])
     with pytest.raises(DomainError):
-        concave_envelope("pow", (-0.5, 1.0), exponent=0.5)
-    with pytest.raises(ValueError):
-        concave_envelope("pow", (1.0, 1.0), exponent=0.5)
+        envelope_lp("pow", [-0.5], [1.0], 0.5)
+    # a box too narrow for a chord gets no rows: the aux bounds pin w
+    lp = envelope_lp("pow", [1.0], [1.0], 0.5)
+    assert lp.A.shape == (0, 2)
+    assert (lp.lo[1], lp.hi[1]) == (1.0, 1.0)
 
 
 def test_envelope_soundness_random_sample():
@@ -127,21 +148,19 @@ def test_envelope_soundness_random_sample():
         xu = xl + rng.uniform(1e-3, 3)
         yl = rng.uniform(-2, 2)
         yu = yl + rng.uniform(1e-3, 3)
-        env = mccormick_bilinear((xl, xu), (yl, yu))
+        lp = envelope_lp("bil", [xl, yl], [xu, yu])
         xs = rng.uniform(xl, xu, 25)
         ys = rng.uniform(yl, yu, 25)
-        for x, y in zip(xs, ys):
-            for row in env.rows:
-                assert row.residual(x * y, x, y) <= 1e-9
+        assert row_violations(lp, (xs, ys, xs * ys)).max() <= 1e-9
         lo = rng.uniform(0.05, 2.0)
         up = lo + rng.uniform(1e-2, 4.0)
         kind = "pow" if rng.random() < 0.5 else "log"
         expo = float(rng.uniform(0.1, 0.9)) if kind == "pow" else None
-        env = concave_envelope(kind, (lo, up), exponent=expo)
-        f = (lambda v: v**expo) if kind == "pow" else math.log
-        for x in rng.uniform(lo, up, 25):
-            for row in env.rows:
-                assert row.residual(f(x), x) <= 1e-9
+        lp = envelope_lp(kind, [lo], [up], expo)
+        f = (lambda v: v**expo) if kind == "pow" else np.log
+        xs = rng.uniform(lo, up, 25)
+        assert lp.A.shape == (4, 2)
+        assert row_violations(lp, (xs, f(xs))).max() <= 1e-9
 
 
 def _tables():
@@ -152,7 +171,7 @@ def _tables():
     yield (tuple(xs), tuple(np.log(xs)))
 
 
-def test_pwl_envelope_soundness_random_boxes():
+def test_pwl_hull_rows_soundness_random_boxes():
     # the table lies between the rows on any sub-box; inside one segment
     # the rows admit the table's value and nothing else
     rng = np.random.default_rng(2024)
@@ -167,17 +186,16 @@ def test_pwl_envelope_soundness_random_boxes():
                 lo, up = np.sort(rng.uniform(xs[k], xs[k + 1], 2))
             if up - lo <= 1e-9:
                 continue
-            env = pwl_envelope(table, (lo, up))
+            lp = envelope_lp("pwl", [lo], [up], table)
             one_segment = not np.any((lo < xs) & (xs < up))
             inside += one_segment
             straddling += not one_segment
-            assert len(env.rows) == 1 + np.count_nonzero(
+            assert lp.A.shape[0] == 1 + np.count_nonzero(
                 (xs[:-1] < up) & (xs[1:] > lo))
             for x in rng.uniform(lo, up, 25):
                 w = float(np.interp(x, *table))
-                for row in env.rows:
-                    assert row.residual(w, x) <= 1e-9
-                wlo, whi = admitted_w(env.rows, x, 0.0)
+                assert row_violations(lp, (x, w)).max() <= 1e-9
+                wlo, whi = admitted_w(lp, x)
                 assert wlo - 1e-9 <= w <= whi + 1e-9
                 if one_segment:
                     assert whi - wlo <= 1e-9
@@ -283,7 +301,7 @@ def test_product_with_a_fixed_factor_is_a_coefficient():
 def _mccormick_reference(flat, lo, hi):
     """The relaxation without the fold, built by hand: every distinct
     product its own column, bounded by its interval and tied to its
-    factors by mccormick_bilinear's rows over the box."""
+    factors by _ref_mccormick's rows over the box."""
     n0 = len(flat.variables)
     cols = {}
     for expr in [flat.objective] + [c.body for c in flat.constraints]:
@@ -304,15 +322,14 @@ def _mccormick_reference(flat, lo, hi):
     b = [c.rhs - c.body.constant for c in flat.constraints]
     aux_lo, aux_hi = [], []
     for (v, arg), col in cols.items():
-        env = mccormick_bilinear((lo[v], hi[v]), (lo[arg], hi[arg]),
-                                 square=(v == arg))
-        for env_row in env.rows:
+        for env_row, sense, rhs in _ref_mccormick(lo[v], hi[v], lo[arg],
+                                                  hi[arg], v == arg):
             coefs = np.zeros(n)
-            for sym, cf in env_row.coefs.items():
+            for sym, cf in env_row.items():
                 coefs[{"w": col, "x": v, "y": arg}[sym]] += cf
             A.append(coefs)
-            senses.append(env_row.sense)
-            b.append(env_row.rhs)
+            senses.append(sense)
+            b.append(rhs)
         t_lo, t_hi = term_interval("bil", lo, hi, v, arg)
         aux_lo.append(t_lo)
         aux_hi.append(t_hi)
