@@ -4,7 +4,7 @@
 import numpy as np
 
 from gdpkit import Constraint, Expression, lp_solve, solve_global
-from gdpkit.relax import build_lp_relaxation, envelope_violations
+from gdpkit.relax import build_lp_relaxation
 from gdpkit.transforms import FlatModel
 
 # min -x*y  s.t.  x + y <= 1,  x, y in [0, 1].
@@ -18,11 +18,11 @@ flat.add_constraint(
     Constraint(Expression().add_linear(1.0, x).add_linear(1.0, y),
                "<=", 1.0, "cap"), {"kind": "global"})
 
-lp = build_lp_relaxation(flat, *flat.bounds_arrays())
-root = lp_solve(lp)
+# The root LP's columns are x, y and w, the product's aux column.
+root = lp_solve(build_lp_relaxation(flat, *flat.bounds_arrays()))
 print("root relaxation bound:", root.objective)
-print("envelope violation at the root point:",
-      envelope_violations(lp, root.x))
+print("envelope violation |w - x*y| at the root point:",
+      abs(root.x[2] - root.x[0] * root.x[1]))
 
 res = solve_global(flat, gap=1e-4)
 print(f"global solve: {res.status}, objective {res.objective:.6f} "

@@ -35,7 +35,7 @@ from .approx import (
     build_pwl,
     fit_quadratic,
 )
-from .relax import build_lp_relaxation, envelope_violations
+from .relax import build_lp_relaxation
 from .lp import LinearProgram, LpSolution, lp_solve
 from .bnb import SolveResult, branch_select, feasibility_check, solve_global
 from .wtn import (

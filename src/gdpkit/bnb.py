@@ -25,9 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lp import LpSolution, lp_solve
-from .model import BINARY, term_value
 from .relax import (CompiledModel, build_lp_relaxation, compile_flat,
-                    envelope_violations)
+                    relaxed_terms, term_values)
 from .transforms import FlatModel, _negated
 
 logger = logging.getLogger(__name__)
@@ -83,8 +82,8 @@ def feasibility_check(point, flat: FlatModel, tol: float = FEAS_TOL,
     (label, amount) for every integrality or row breach beyond tol, in
     variable and then row order. Each row's value is summed as
     Constraint.violation sums it: the constant, then the linear and the
-    term entries in Expression order; pow, log and pwl values come from
-    term_value. compiled is compile_flat(flat), made here when not given.
+    term entries in Expression order, the terms' values from term_values.
+    compiled is compile_flat(flat), made here when not given.
     """
     cm = compile_flat(flat) if compiled is None else compiled
     x = np.asarray(point, dtype=float)
@@ -97,12 +96,8 @@ def feasibility_check(point, flat: FlatModel, tol: float = FEAS_TOL,
     # the value of each entry's key: the variable, or the term
     value = np.zeros(cm.n_model + len(cm.keys))
     value[:cm.n_model] = x
-    bil = cm.product | cm.square
-    value[cm.n_model:][bil] = x[cm.var[bil]] * x[cm.arg[bil]]
-    for t in cm.curved:
-        if cm.in_rows[t]:
-            kind, v, arg = cm.keys[t]
-            value[cm.n_model + t] = term_value(kind, point, v, arg)
+    keys = cm.in_rows.nonzero()[0]
+    value[cm.n_model + keys] = term_values(cm, x, keys)
     n_con = len(cm.senses)
     body = np.bincount(np.concatenate([np.arange(n_con), cm.row]),
                        np.concatenate([cm.constant,
@@ -115,34 +110,33 @@ def feasibility_check(point, flat: FlatModel, tol: float = FEAS_TOL,
     return not violations, violations
 
 
-def branch_select(node: BnbNode, lp, sol: LpSolution, flat: FlatModel):
+def branch_select(node: BnbNode, sol: LpSolution, compiled: CompiledModel):
     """Pick the branching decision at an unpruned, infeasible LP point.
 
     Fractional binaries first (most fractional, median index among
     ties); otherwise the variable carrying the largest total envelope
-    violation, split at the LP point clamped to the middle 40 % of its
+    violation |aux - term value| over relaxed_terms, the box's aux
+    columns, split at the LP point clamped to the middle 40 % of its
     interval. Returns ("binary", id), ("spatial", id, point) or None.
     """
+    cm = compiled
     x = sol.x
-    scored = []
-    for v in flat.variables:
-        if v.kind != BINARY or node.hi[v.id] - node.lo[v.id] <= 0.0:
-            continue
-        frac = min(x[v.id], 1.0 - x[v.id])
-        if frac > INT_TOL:
-            scored.append((frac, v.id))
-    if scored:
-        best = max(s for s, _ in scored)
-        tied = [vid for s, vid in scored if s >= best - 1e-9]
-        return ("binary", tied[len(tied) // 2])
+    frac = np.minimum(x[cm.binaries], 1.0 - x[cm.binaries])
+    scored = (node.hi[cm.binaries] > node.lo[cm.binaries]) & (frac > INT_TOL)
+    if scored.any():
+        best = frac[scored].max()
+        tied = cm.binaries[scored][frac[scored] >= best - 1e-9]
+        return ("binary", int(tied[tied.size // 2]))
 
-    n_model = len(flat.variables)
-    weight = np.zeros(n_model)
-    for term, amount in zip(lp.aux_terms, envelope_violations(lp, x)):
-        for vid in term.participants():
-            weight[vid] += amount
-    order = np.argsort(-weight, kind="stable")
-    for vid in order:
+    # each kept term's violation goes to var, then to arg for a product,
+    # summed in column order
+    n_model = cm.n_model
+    keys = relaxed_terms(cm, node.lo, node.hi)
+    amount = np.abs(x[n_model:n_model + keys.size] - term_values(cm, x, keys))
+    take = np.array([np.ones(keys.size, dtype=bool), cm.product[keys]]).T
+    weight = np.bincount(np.array([cm.var[keys], cm.arg[keys]]).T[take],
+                         np.array([amount, amount]).T[take], minlength=n_model)
+    for vid in np.argsort(-weight, kind="stable"):
         vid = int(vid)
         width = node.hi[vid] - node.lo[vid]
         if weight[vid] <= 0.0:
@@ -154,22 +148,20 @@ def branch_select(node: BnbNode, lp, sol: LpSolution, flat: FlatModel):
     return None
 
 
-def _midsplit_decision(node: BnbNode, flat: FlatModel, lp):
-    """Fallback split for nodes whose LP failed: widest participant."""
-    candidates = set()
-    for term in lp.aux_terms:
-        candidates.update(term.participants())
-    candidates.update(v.id for v in flat.variables if v.kind == BINARY)
-    best, best_w = None, MIN_WIDTH
-    for vid in sorted(candidates):
-        w = node.hi[vid] - node.lo[vid]
-        if w > best_w:
-            best, best_w = vid, w
-    if best is None:
+def _midsplit_decision(node: BnbNode, compiled: CompiledModel):
+    """Fallback split for nodes whose LP failed: the widest variable of
+    a kept term or binary, the lowest id among ties."""
+    cm = compiled
+    keys = relaxed_terms(cm, node.lo, node.hi)
+    cand = np.unique(np.concatenate([cm.var[keys], cm.arg[keys], cm.binaries]))
+    width = node.hi[cand] - node.lo[cand]
+    if not (width > MIN_WIDTH).any():
         return None
-    if flat.variables[best].kind == BINARY:
+    k = int(np.argmax(width))
+    best = int(cand[k])
+    if best in cm.binaries:
         return ("binary", best)
-    return ("spatial", best, node.lo[best] + 0.5 * best_w)
+    return ("spatial", best, node.lo[best] + 0.5 * width[k])
 
 
 def _children(node: BnbNode, decision) -> list[BnbNode]:
@@ -215,7 +207,6 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
     if maximize:
         work = replace(flat, sense="min", objective=_negated(flat.objective))
 
-    n_model = len(work.variables)
     compiled = compile_flat(work)
     lo0 = np.array([v.lower for v in work.variables])
     hi0 = np.array([v.upper for v in work.variables])
@@ -257,12 +248,12 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
         node = heapq.heappop(heap)[3]
         if node.bound >= z:
             continue
-        lp = build_lp_relaxation(work, node.lo, node.hi, compiled)
-        sol = lp_solve(lp, deadline=t0 + time_limit)
+        sol = lp_solve(build_lp_relaxation(work, node.lo, node.hi, compiled),
+                       deadline=t0 + time_limit)
         nodes_done += 1
         if sol.status == "optimal":
             node_bound = max(node.bound, sol.objective)
-            point = sol.x[:n_model]
+            point = sol.x[:compiled.n_model]
             if node_bound < z and feasibility_check(point, work, FEAS_TOL,
                                                          compiled)[0]:
                 z_point = work.objective.evaluate(point)
@@ -270,7 +261,7 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
                     z = z_point
                     best_x = point.copy()
             if node_bound < z:
-                decision = branch_select(node, lp, sol, work)
+                decision = branch_select(node, sol, compiled)
                 if decision is None:
                     unexplored.append(node_bound)
                 else:
@@ -282,7 +273,7 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
             stop = "time_limit"
             break
         elif sol.status != "infeasible":
-            decision = _midsplit_decision(node, work, lp)
+            decision = _midsplit_decision(node, compiled)
             if node.resplit or decision is None:
                 unexplored.append(node.bound)
             else:

@@ -9,9 +9,11 @@ as null. Two runs on the same inputs differ only in timing fields.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -71,6 +73,17 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
+def _unwritable(path: str) -> str | None:
+    """Why a write to path would fail, found without writing; else None."""
+    out = Path(path)
+    code = (errno.ENOENT if not out.parent.exists() else
+            errno.ENOTDIR if not out.parent.is_dir() else
+            errno.EISDIR if out.is_dir() else
+            None if os.access(out if out.exists() else out.parent, os.W_OK)
+            else errno.EACCES)
+    return code and os.strerror(code)
+
+
 def _finite_or_null(value):
     """The report with every non-finite float replaced by None."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -93,6 +106,9 @@ def run_pipeline(args: argparse.Namespace) -> int:
                                            and args.reference != 0.0):
         return _fail(f"--reference must be finite and nonzero, "
                      f"got {args.reference}")
+    reason = args.out and _unwritable(args.out)
+    if reason:
+        return _fail(f"cannot write {args.out!r}: {reason}")
     try:
         if args.wtn:
             source = args.wtn

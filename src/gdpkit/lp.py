@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class LinearProgram:
     lo: np.ndarray
     hi: np.ndarray
     obj_const: float = 0.0
-    aux_terms: list = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.senses) != len(self.b):

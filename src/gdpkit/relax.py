@@ -19,7 +19,9 @@ as index and coefficient arrays in Expression order, the senses, the
 right-hand sides, the binaries and each pwl table's segment lines. A
 node changes only the box, and the box decides which products fold,
 the column numbering, the aux bounds and the envelope rows; the node's
-LP is emitted from the arrays with numpy alone.
+LP is emitted from the arrays with numpy alone. relaxed_terms, the keys
+a box keeps in column order, is the one map from aux columns to terms;
+term_values gives their exact values for the check and the brancher.
 """
 
 from __future__ import annotations
@@ -113,25 +115,6 @@ def _pwl_lines(table, segments, lo: float, up: float):
 
 
 @dataclass
-class AuxTerm:
-    """One relaxed nonlinear term (kind, var, arg), as in
-    Expression.terms, and the LP column standing in for it."""
-
-    col: int
-    kind: str
-    var: int
-    arg: int | float | None
-
-    def true_value(self, x) -> float:
-        return term_value(self.kind, x, self.var, self.arg)
-
-    def participants(self) -> tuple[int, ...]:
-        if self.kind == "bil" and self.var != self.arg:
-            return (self.var, self.arg)
-        return (self.var,)
-
-
-@dataclass
 class CompiledModel:
     """A flat model as arrays, for one solve (see compile_flat).
 
@@ -173,7 +156,7 @@ class CompiledModel:
 
 def compile_flat(flat: FlatModel) -> CompiledModel:
     """Walk a flat model's expressions once into the arrays that
-    build_lp_relaxation and bnb.feasibility_check read at every node."""
+    build_lp_relaxation and bnb's check and brancher read at every node."""
     n0 = len(flat.variables)
     index: dict[tuple, int] = {}
 
@@ -213,6 +196,26 @@ def compile_flat(flat: FlatModel) -> CompiledModel:
                           dtype=np.intp))
 
 
+def relaxed_terms(cm: CompiledModel, lo, hi) -> np.ndarray:
+    """The keys that keep an aux column over the box of arrays [lo, hi],
+    in column order: every term but a product of two variables one of
+    which the box fixes, which is exact as a coefficient on the other."""
+    fixed = lo == hi
+    return (~(cm.product & (fixed[cm.var] | fixed[cm.arg]))).nonzero()[0]
+
+
+def term_values(cm: CompiledModel, x: np.ndarray, keys) -> np.ndarray:
+    """The exact value at x of each term keys indexes: a product or a
+    square as one multiply, a pow, log or pwl term through term_value."""
+    bil = (cm.product | cm.square)[keys]
+    out = np.empty(len(keys))
+    out[bil] = x[cm.var[keys[bil]]] * x[cm.arg[keys[bil]]]
+    for i in (~bil).nonzero()[0]:
+        kind, v, arg = cm.keys[keys[i]]
+        out[i] = term_value(kind, x, v, arg)
+    return out
+
+
 def _first(values, better):
     """min or max of values as Python picks it: the first best one."""
     out = values[0]
@@ -227,12 +230,11 @@ def build_lp_relaxation(flat: FlatModel, lo, hi,
     """Assemble the LP relaxation of a flattened model over a box.
 
     Distinct nonlinear terms share one auxiliary column each, in order
-    of first appearance; the map from columns back to terms rides along
-    as lp.aux_terms so callers can measure envelope violations at the LP
-    point. A product of two variables one of which the box fixes is
-    exact as a linear coefficient on the other (on var when both are
-    fixed), so it gets no column, no rows and no AuxTerm. compiled is
-    compile_flat(flat), made here when not given.
+    of first appearance: column n_model + k stands in for the key
+    relaxed_terms(compiled, lo, hi)[k]. A product of two variables one
+    of which the box fixes is exact as a linear coefficient on the other
+    (on var when both are fixed), so it gets no column and no rows.
+    compiled is compile_flat(flat), made here when not given.
 
     Coefficients that meet in one cell are summed in Expression order
     onto +0.0, as a row-by-row build adding each entry in turn would.
@@ -245,19 +247,18 @@ def build_lp_relaxation(flat: FlatModel, lo, hi,
         raise ValueError(f"box has {lo.size} lower and {hi.size} upper "
                          f"bounds for {n0} model variables")
 
-    # a folded product lands on var when arg is fixed, else on arg; a
-    # kept term has the next aux column and factor 1.0
-    fixed = lo == hi
-    arg_fixed = fixed[cm.arg]
-    fold = cm.product & (fixed[cm.var] | arg_fixed)
-    kept = (~fold).nonzero()[0]
+    # a folded product lands on var, times arg's value, when arg is
+    # fixed, else on arg; a kept term has the next aux column and
+    # factor 1.0
+    kept = relaxed_terms(cm, lo, hi)
     n = n0 + kept.size
+    arg_fixed = lo[cm.arg] == hi[cm.arg]
     term_col = np.where(arg_fixed, cm.var, cm.arg)
     term_col[kept] = np.arange(n0, n)
     key_col = np.concatenate([np.arange(n0), term_col])
-    factor = np.concatenate([
-        np.ones(n0),
-        np.where(fold, np.where(arg_fixed, lo[cm.arg], lo[cm.var]), 1.0)])
+    term_factor = np.where(arg_fixed, lo[cm.arg], lo[cm.var])
+    term_factor[kept] = 1.0
+    factor = np.concatenate([np.ones(n0), term_factor])
 
     # aux bounds and each kept term's envelope rows, in column order
     aux_lo = np.empty(kept.size)
@@ -271,12 +272,12 @@ def build_lp_relaxation(flat: FlatModel, lo, hi,
         pos = term_col[keys] - n0
         xl, xu = lo[cm.var[keys]], hi[cm.var[keys]]
         yl, yu = lo[cm.arg[keys]], hi[cm.arg[keys]]
+        if not np.isfinite(np.concatenate([xl, xu, yl, yu])).all():
+            raise ValueError("McCormick rows need finite bounds")
         corners = (xl * yl, xl * yu, xu * yl, xu * yu)
         aux_lo[pos] = _first(corners, np.less)
         aux_hi[pos] = _first(corners, np.greater)
         n_lines[pos] = count
-        if not np.isfinite(np.concatenate([xl, xu, yl, yu])).all():
-            raise ValueError("McCormick rows need finite bounds")
         if count == 4:
             ax, ay, rhs = _mccormick_lines(xl, xu, yl, yu)
             groups.append((pos, ax, ay, rhs, _MCCORMICK_SENSES))
@@ -322,7 +323,7 @@ def build_lp_relaxation(flat: FlatModel, lo, hi,
 
     c = np.bincount(key_col[cm.obj_key], cm.obj_coef * factor[cm.obj_key],
                     minlength=n)
-    lp = LinearProgram(
+    return LinearProgram(
         c=c, A=A,
         senses=cm.senses + np.where(ge[n_con:], SENSE_GE, SENSE_LE).tolist(),
         b=b,
@@ -330,11 +331,3 @@ def build_lp_relaxation(flat: FlatModel, lo, hi,
         hi=np.concatenate([hi, aux_hi]),
         obj_const=flat.objective.constant,
     )
-    lp.aux_terms = [AuxTerm(col, *cm.keys[t])
-                    for col, t in enumerate(kept.tolist(), n0)]
-    return lp
-
-
-def envelope_violations(lp: LinearProgram, x: np.ndarray) -> list[float]:
-    """Per-term |aux - true value| at an LP point."""
-    return [abs(x[t.col] - t.true_value(x)) for t in lp.aux_terms]

@@ -8,6 +8,8 @@ from gdpkit import (ApproxPolicy, apply_approximation, bigm_transform,
                     build_wtn_gdp, load_wtn_data)
 from gdpkit.bnb import (
     FEAS_TOL,
+    INT_TOL,
+    MIN_WIDTH,
     BnbNode,
     branch_select,
     feasibility_check,
@@ -15,12 +17,13 @@ from gdpkit.bnb import (
     solve_global,
 )
 from gdpkit.lp import LpSolution, lp_solve
-from gdpkit.model import Constraint, Expression
-from gdpkit.relax import build_lp_relaxation, compile_flat
+from gdpkit.model import Constraint, Expression, term_value
+from gdpkit.relax import (build_lp_relaxation, compile_flat, relaxed_terms,
+                          term_values)
 from gdpkit.transforms import FlatModel
 
 from test_lp import INSTANCE
-from test_relax import _random_term_flat
+from test_relax import _random_box, _random_term_flat, reference_columns
 
 
 def neg_product_model():
@@ -146,20 +149,18 @@ def test_branch_select_most_fractional_binary():
     b = flat.add_variable("y2", 0.0, 1.0, "binary")
     flat.objective = Expression().add_linear(1.0, a).add_linear(1.0, b)
     node = BnbNode(np.array([0.0, 0.0]), np.array([1.0, 1.0]), -np.inf, 0)
-    lp = build_lp_relaxation(flat, node.lo, node.hi)
     sol = LpSolution("optimal", np.array([0.5, 0.1]), 0.6, 0.0, 0)
-    decision = branch_select(node, lp, sol, flat)
+    decision = branch_select(node, sol, compile_flat(flat))
     assert decision == ("binary", a)
 
 
 def test_branch_select_spatial_on_max_violation():
     flat = neg_product_model()
     node = BnbNode(np.array([0.0, 0.0]), np.array([1.0, 1.0]), -np.inf, 0)
-    lp = build_lp_relaxation(flat, node.lo, node.hi)
-    sol = lp_solve(lp)
+    sol = lp_solve(build_lp_relaxation(flat, node.lo, node.hi))
     # LP point (0.5, 0.5, w=0.5) vs true product 0.25: both factors tie,
     # the stable order picks the lower id
-    decision = branch_select(node, lp, sol, flat)
+    decision = branch_select(node, sol, compile_flat(flat))
     assert decision[0] == "spatial"
     assert decision[1] == 0
     assert decision[2] == pytest.approx(0.5, abs=1e-9)
@@ -168,13 +169,12 @@ def test_branch_select_spatial_on_max_violation():
 def test_branch_select_clamps_to_middle_band():
     flat = neg_product_model()
     node = BnbNode(np.array([0.0, 0.0]), np.array([1.0, 1.0]), -np.inf, 0)
-    lp = build_lp_relaxation(flat, node.lo, node.hi)
-    x = np.zeros(len(lp.c))
+    x = np.zeros(3)
     x[0] = 0.0  # at the box edge
     x[1] = 1.0
-    x[lp.aux_terms[0].col] = 0.9  # big violation on the product
+    x[2] = 0.9  # the product's aux column: a big violation
     sol = LpSolution("optimal", x, 0.0, 0.0, 0)
-    decision = branch_select(node, lp, sol, flat)
+    decision = branch_select(node, sol, compile_flat(flat))
     assert decision[0] == "spatial"
     assert decision[2] == pytest.approx(0.3)  # lo + 0.3 * width
 
@@ -507,3 +507,153 @@ def test_each_node_builds_one_relaxation_and_one_lp(monkeypatch):
     assert len(calls["compile"]) == 1
     compiled = [args[3] for args in calls["relax"] + calls["feas"]]
     assert all(c is compiled[0] for c in compiled)
+
+
+# -- branching against the loops it replaced -----------------------------
+
+
+def _participants(kind, var, arg):
+    return (var, arg) if kind == "bil" and var != arg else (var,)
+
+
+def _loop_branch_select(node, sol, flat, columns):
+    """branch_select as a loop over flat.variables and the box's kept
+    terms, columns = reference_columns(flat, node.lo, node.hi)."""
+    x = sol.x
+    scored = []
+    for v in flat.variables:
+        if v.kind != "binary" or node.hi[v.id] - node.lo[v.id] <= 0.0:
+            continue
+        frac = min(x[v.id], 1.0 - x[v.id])
+        if frac > INT_TOL:
+            scored.append((frac, v.id))
+    if scored:
+        best = max(s for s, _ in scored)
+        tied = [vid for s, vid in scored if s >= best - 1e-9]
+        return ("binary", tied[len(tied) // 2])
+
+    weight = np.zeros(len(flat.variables))
+    for (kind, var, arg), col in columns.items():
+        amount = abs(x[col] - term_value(kind, x, var, arg))
+        for vid in _participants(kind, var, arg):
+            weight[vid] += amount
+    for vid in np.argsort(-weight, kind="stable"):
+        vid = int(vid)
+        width = node.hi[vid] - node.lo[vid]
+        if weight[vid] <= 0.0:
+            break
+        if width > MIN_WIDTH:
+            split = min(max(x[vid], node.lo[vid] + 0.3 * width),
+                        node.lo[vid] + 0.7 * width)
+            return ("spatial", vid, float(split))
+    return None
+
+
+def _loop_midsplit_decision(node, flat, columns):
+    """_midsplit_decision as a loop over the same."""
+    candidates = set()
+    for kind, var, arg in columns:
+        candidates.update(_participants(kind, var, arg))
+    candidates.update(v.id for v in flat.variables if v.kind == "binary")
+    best, best_w = None, MIN_WIDTH
+    for vid in sorted(candidates):
+        w = node.hi[vid] - node.lo[vid]
+        if w > best_w:
+            best, best_w = vid, w
+    if best is None:
+        return None
+    if flat.variables[best].kind == "binary":
+        return ("binary", best)
+    return ("spatial", best, node.lo[best] + 0.5 * best_w)
+
+
+def _assert_same_decision(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[:2] == want[:2]
+        assert type(got[1]) is int
+        if want[0] == "spatial":
+            assert np.float64(got[2]).tobytes() == \
+                np.float64(want[2]).tobytes()
+
+
+def test_branching_matches_the_loops_at_every_shipped_node(shipped,
+                                                          monkeypatch):
+    # every node's box and LP point in the pinned searches: both
+    # decisions as the loops over flat.variables and the kept terms make
+    # them, and term_values as term_value makes each value
+    name, _, _ = shipped
+    real_build, real_solve = bnbmod.build_lp_relaxation, bnbmod.lp_solve
+    boxes = []
+    seen = {"binary": 0, "spatial": 0, "none": 0, "resplit": 0}
+
+    def build(work, lo, hi, compiled):
+        boxes.append((work, lo, hi, compiled))
+        return real_build(work, lo, hi, compiled)
+
+    def solve(lp, deadline=None):
+        sol = real_solve(lp, deadline)
+        work, lo, hi, cm = boxes[-1]
+        node = BnbNode(lo, hi, -np.inf, 0)
+        columns = reference_columns(work, lo, hi)
+        resplit = bnbmod._midsplit_decision(node, cm)
+        _assert_same_decision(resplit,
+                              _loop_midsplit_decision(node, work, columns))
+        seen["resplit"] += resplit is not None
+        if sol.status == "optimal":
+            decision = branch_select(node, sol, cm)
+            _assert_same_decision(decision, _loop_branch_select(
+                node, sol, work, columns))
+            seen["none" if decision is None else decision[0]] += 1
+            keys = np.arange(len(cm.keys))
+            for (kind, v, arg), value in zip(cm.keys,
+                                             term_values(cm, sol.x, keys)):
+                want = term_value(kind, sol.x, v, arg)
+                assert np.float64(value).tobytes() == \
+                    np.float64(want).tobytes()
+        return sol
+
+    monkeypatch.setattr(bnbmod, "build_lp_relaxation", build)
+    monkeypatch.setattr(bnbmod, "lp_solve", solve)
+    res = solve_global(_shipped_flat(name), gap=1e-4, time_limit=20)
+    assert res.nodes == len(boxes) == SHIPPED[name][0]
+    assert seen["binary"] > 0 and seen["spatial"] > 0
+    assert seen["resplit"] == len(boxes)
+
+
+def test_branching_matches_the_loops_at_random_points():
+    # models over every term kind, and small ones with binaries, at
+    # random boxes and at random points inside the relaxation's bounds:
+    # folded products, fixed binaries, and products whose second factor
+    # carries the largest weight
+    rng = np.random.default_rng(71)
+    seen = {"binary": 0, "spatial": 0, "arg": 0}
+    for k in range(160):
+        flat = (_random_term_flat(rng) if k % 2 else
+                random_instance(int(rng.integers(10**6))))
+        cm = compile_flat(flat)
+        binaries = [v.id for v in flat.variables if v.kind == "binary"]
+        for _ in range(4):
+            lo, hi = _random_box(rng, flat)
+            node = BnbNode(lo, hi, -np.inf, 0)
+            lp = build_lp_relaxation(flat, lo, hi, cm)
+            x = rng.uniform(lp.lo, lp.hi)
+            if rng.random() < 0.5:
+                x[binaries] = np.round(x[binaries])
+            sol = LpSolution("optimal", x, 0.0, 0.0, 0)
+            columns = reference_columns(flat, lo, hi)
+            decision = branch_select(node, sol, cm)
+            _assert_same_decision(decision, _loop_branch_select(
+                node, sol, flat, columns))
+            _assert_same_decision(bnbmod._midsplit_decision(node, cm),
+                                  _loop_midsplit_decision(node, flat, columns))
+            keys = relaxed_terms(cm, lo, hi)
+            for (kind, v, arg), value in zip(columns,
+                                             term_values(cm, x, keys)):
+                assert np.float64(value).tobytes() == np.float64(
+                    term_value(kind, x, v, arg)).tobytes()
+            if decision is not None:
+                seen[decision[0]] += 1
+                seen["arg"] += decision[0] == "spatial" and not any(
+                    v == decision[1] for _, v, _ in columns)
+    assert min(seen.values()) >= 10, seen

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import gdpkit.cli as cli
 from gdpkit.cli import build_parser, main, run_pipeline
 from gdpkit.model import (Constraint, Disjunct, Disjunction, Expression,
                           GdpModel, load_model, model_to_json,
@@ -101,7 +102,15 @@ def test_term_on_a_fixed_variable_solves_under_every_policy(tmp_path):
                                                    abs=1e-9)
 
 
-def test_unwritable_report_is_usage_error(tmp_path, capsys):
+def _no_solve(monkeypatch):
+    solves = []
+    monkeypatch.setattr(cli, "solve_global", lambda *a, **k: solves.append(a))
+    return solves
+
+
+def test_unwritable_report_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the path is checked before the solve, and nothing is created
+    solves = _no_solve(monkeypatch)
     out = tmp_path / "missing" / "report.json"
     assert run(["--model", str(bilinear_model_file(tmp_path)),
                 "--out", str(out)]) == 1
@@ -110,6 +119,21 @@ def test_unwritable_report_is_usage_error(tmp_path, capsys):
     assert err.splitlines()[-1] == (
         f"gdpkit: error: cannot write {str(out)!r}: No such file or directory")
     assert not out.parent.exists()
+    assert solves == []
+
+
+@pytest.mark.parametrize("where, reason", [
+    ("dir", "Is a directory"), ("under_file", "Not a directory")])
+def test_report_path_a_write_would_reject_fails_before_the_solve(
+        tmp_path, capsys, monkeypatch, where, reason):
+    solves = _no_solve(monkeypatch)
+    model = bilinear_model_file(tmp_path)
+    out = tmp_path if where == "dir" else model / "report.json"
+    assert run(["--model", str(model), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"gdpkit: error: cannot write {str(out)!r}: {reason}")
+    assert solves == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == [model.name]
 
 
 def test_invalid_model_is_usage_error(tmp_path, capsys):

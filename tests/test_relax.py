@@ -8,10 +8,10 @@ from gdpkit.lp import LinearProgram, lp_solve
 from gdpkit.model import (Constraint, DomainError, Expression, interval_eval,
                           pwl_value, term_interval)
 from gdpkit.relax import (
-    AuxTerm,
     build_lp_relaxation,
     compile_flat,
-    envelope_violations,
+    relaxed_terms,
+    term_values,
 )
 from gdpkit.transforms import FlatModel
 
@@ -21,20 +21,45 @@ from test_lp import _highs, _shipped_network_boxes
 # -- envelope rows as build_lp_relaxation emits them ---------------------
 
 
-def envelope_lp(kind, lo, hi, arg=None):
-    """The LP build_lp_relaxation emits over the box [lo, hi] for a flat
-    model whose objective is one term: with kind "bil", x*y over two
-    bounds or x*x over one; otherwise (kind, x, arg), as in
-    Expression.terms. With no model rows, each row is one of the
-    term's envelope rows, over the columns (x, [y,] w)."""
+def envelope_flat(kind, lo, hi, arg=None):
+    """A flat model over the box [lo, hi] whose objective is one term:
+    with kind "bil", x*y over two bounds or x*x over one; otherwise
+    (kind, x, arg), as in Expression.terms."""
     flat = FlatModel(sense="min")
     ids = [flat.add_variable(f"v{i}", a, b)
            for i, (a, b) in enumerate(zip(lo, hi))]
     flat.objective.terms.append(
         (kind, 1.0, ids[0], ids[-1] if kind == "bil" else arg))
-    lp = build_lp_relaxation(flat, lo, hi)
+    return flat
+
+
+def envelope_lp(kind, lo, hi, arg=None):
+    """The LP build_lp_relaxation emits over the box [lo, hi] for
+    envelope_flat(kind, lo, hi, arg). With no model rows, each row is
+    one of the term's envelope rows, over the columns (x, [y,] w)."""
+    lp = build_lp_relaxation(envelope_flat(kind, lo, hi, arg), lo, hi)
     assert (lp.A[:, -1] == 1.0).all()  # every row reads w + ... sense rhs
     return lp
+
+
+def aux_columns(flat, lo, hi):
+    """(column, kind, var, arg) of each aux column of the relaxation
+    over the box: the keys relaxed_terms keeps, from column n_model on."""
+    cm = compile_flat(flat)
+    keys = relaxed_terms(cm, np.asarray(lo, dtype=float),
+                         np.asarray(hi, dtype=float))
+    return [(col, *cm.keys[t]) for col, t in enumerate(keys, cm.n_model)]
+
+
+def violations_at(flat, lo, hi, point):
+    """|aux - exact term value| at point for each aux column over the
+    box, in column order."""
+    cm = compile_flat(flat)
+    keys = relaxed_terms(cm, np.asarray(lo, dtype=float),
+                         np.asarray(hi, dtype=float))
+    point = np.asarray(point, dtype=float)
+    aux = point[cm.n_model:cm.n_model + keys.size]
+    return np.abs(aux - term_values(cm, point, keys)).tolist()
 
 
 def row_violations(lp, point):
@@ -67,16 +92,17 @@ def test_mccormick_unit_box_rows():
 def test_mccormick_degenerate_factor_pins_product():
     # a factor the box fixes makes the product exact: 2*y, as y's
     # coefficient, with no column and no rows
-    lp = envelope_lp("bil", [2.0, -1.0], [2.0, 3.0])
-    assert lp.A.shape == (0, 2) and lp.aux_terms == []
+    box = ([2.0, -1.0], [2.0, 3.0])
+    lp = envelope_lp("bil", *box)
+    assert lp.A.shape == (0, 2)
+    assert aux_columns(envelope_flat("bil", *box), *box) == []
     for y in (-1.0, 0.7, 3.0):
         assert lp.c @ [2.0, y] == pytest.approx(2.0 * y, abs=1e-12)
 
 
 def test_mccormick_requires_finite_bounds():
-    # inf * 0 makes a corner nan before the check
-    with pytest.raises(ValueError, match="finite bounds"), \
-            np.errstate(invalid="ignore"):
+    # the check comes before inf * 0 could make a corner nan
+    with pytest.raises(ValueError, match="finite bounds"):
         envelope_lp("bil", [0.0, 0.0], [math.inf, 1.0])
 
 
@@ -229,7 +255,7 @@ def linear_flat():
 def test_relaxation_of_linear_model_is_identity():
     flat = linear_flat()
     lp = build_lp_relaxation(flat, [0.0], [1.0])
-    assert lp.aux_terms == []
+    assert aux_columns(flat, [0.0], [1.0]) == []
     assert lp.A.shape == (1, 1)
     sol = lp_solve(lp)
     assert sol.objective == pytest.approx(0.25)
@@ -252,7 +278,8 @@ def test_relaxation_bound_of_negative_product():
     sol = lp_solve(lp)
     # vertex oracle over the 5-row polytope gives -0.5 at x = y = w = 0.5
     assert sol.objective == pytest.approx(-0.5, abs=1e-9)
-    assert envelope_violations(lp, sol.x)[0] == pytest.approx(0.25, abs=1e-9)
+    assert violations_at(flat, [0.0, 0.0], [1.0, 1.0], sol.x)[0] == \
+        pytest.approx(0.25, abs=1e-9)
 
 
 def test_node_with_fixed_binary_reduces_box():
@@ -263,7 +290,7 @@ def test_node_with_fixed_binary_reduces_box():
     flat.objective = Expression().add_bilinear(1.0, x, y)
     lp = build_lp_relaxation(flat, [0.0, 1.0], [1.0, 1.0])
     assert lp.lo[1] == lp.hi[1] == 1.0
-    assert lp.aux_terms == []
+    assert aux_columns(flat, [0.0, 1.0], [1.0, 1.0]) == []
     assert lp.A.shape == (0, 2)
     assert list(lp.c) == [1.0, 0.0]
     sol = lp_solve(lp)
@@ -282,17 +309,18 @@ def test_product_with_a_fixed_factor_is_a_coefficient():
         "row"), {"kind": "global"})
     # y fixed: x*y folds onto x after the linear part; x*z keeps its
     # column and its four McCormick rows
-    lp = build_lp_relaxation(flat, [0.0, 0.75, -1.0], [2.0, 0.75, 1.0])
-    assert [(t.col, t.kind, t.var, t.arg) for t in lp.aux_terms] == [
-        (3, "bil", x, z)]
+    box = ([0.0, 0.75, -1.0], [2.0, 0.75, 1.0])
+    lp = build_lp_relaxation(flat, *box)
+    assert aux_columns(flat, *box) == [(3, "bil", x, z)]
     assert lp.A.shape == (5, 4)
     assert list(lp.c) == [0.5 + 3.0 * 0.75, 0.0, 0.0, 1.0]
     assert list(lp.A[0]) == [-2.0 * 0.75, 0.0, 1.0, 0.0]
     point = np.array([1.0, 0.75, 0.5, 0.25])
-    assert envelope_violations(lp, point) == [0.25]
+    assert violations_at(flat, *box, point) == [0.25]
     # x fixed as well: x*y folds onto x with y's value, x*z onto z
-    lp = build_lp_relaxation(flat, [1.5, 0.75, -1.0], [1.5, 0.75, 1.0])
-    assert lp.aux_terms == []
+    box = ([1.5, 0.75, -1.0], [1.5, 0.75, 1.0])
+    lp = build_lp_relaxation(flat, *box)
+    assert aux_columns(flat, *box) == []
     assert lp.A.shape == (1, 3)
     assert list(lp.c) == [0.5 + 3.0 * 0.75, 0.0, 1.5]
     assert list(lp.A[0]) == [-2.0 * 0.75, 0.0, 1.0]
@@ -471,9 +499,10 @@ def test_aux_bounds_equal_the_lone_terms_interval():
                           .add_log(1.0, 2))
         lo, hi = flat.bounds_arrays()
         lp = build_lp_relaxation(flat, lo, hi)
-        assert len(lp.aux_terms) == len(terms)
-        for aux, t in zip(lp.aux_terms, terms):
-            assert (lp.lo[aux.col], lp.hi[aux.col]) == interval_eval(t, lo, hi)
+        cols = aux_columns(flat, lo, hi)
+        assert len(cols) == len(terms)
+        for (col, *_), t in zip(cols, terms):
+            assert (lp.lo[col], lp.hi[col]) == interval_eval(t, lo, hi)
 
 
 def test_relaxation_rejects_log_box_reaching_zero():
@@ -495,7 +524,7 @@ def test_aux_columns_follow_first_appearance_across_kinds():
         {"kind": "global"})
     lo, hi = flat.bounds_arrays()
     lp = build_lp_relaxation(flat, lo, hi)
-    assert [(t.col, t.kind, t.var, t.arg) for t in lp.aux_terms] == [
+    assert aux_columns(flat, lo, hi) == [
         (2, "log", w, None), (3, "bil", x, w), (4, "pow", x, 0.5)]
     # repeated terms share their column
     assert list(lp.c) == [0.0, 0.0, 2.0, 0.0, 0.0]
@@ -548,10 +577,11 @@ def _ref_pwl(table, lo, up):
     return rows
 
 
-def _reference_relaxation(flat, lo, hi):
+def reference_columns(flat, lo, hi):
+    """{(kind, var, arg): aux column} of the terms the box keeps, in
+    order of first appearance: every term but a product with a fixed
+    factor."""
     n0 = len(flat.variables)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
 
     def folds(kind, v, arg):
         return (kind == "bil" and v != arg
@@ -562,6 +592,14 @@ def _reference_relaxation(flat, lo, hi):
         for kind, _, v, arg in expr.terms:
             if not folds(kind, v, arg):
                 order.setdefault((kind, v, arg), n0 + len(order))
+    return order
+
+
+def _reference_relaxation(flat, lo, hi):
+    n0 = len(flat.variables)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    order = reference_columns(flat, lo, hi)
     n = n0 + len(order)
     aux_lo, aux_hi, env_rows = [], [], []
     for (kind, v, arg), col in order.items():
@@ -607,26 +645,30 @@ def _reference_relaxation(flat, lo, hi):
             coefs[symbols[sym]] += cf
         senses.append(sense)
         rhs.append(b)
-    lp = LinearProgram(c=linearize(flat.objective, np.zeros(n)), A=A,
-                       senses=senses, b=np.array(rhs, dtype=float),
-                       lo=np.concatenate([lo, aux_lo]),
-                       hi=np.concatenate([hi, aux_hi]),
-                       obj_const=flat.objective.constant)
-    lp.aux_terms = [AuxTerm(col, *key) for key, col in order.items()]
-    return lp
+    return LinearProgram(c=linearize(flat.objective, np.zeros(n)), A=A,
+                         senses=senses, b=np.array(rhs, dtype=float),
+                         lo=np.concatenate([lo, aux_lo]),
+                         hi=np.concatenate([hi, aux_hi]),
+                         obj_const=flat.objective.constant)
 
 
 def assert_same_lp(lp, ref):
     """Byte-identical: every array equal with equal signs of zero, the
-    same senses, aux terms and objective constant."""
+    same senses and objective constant."""
     for name in ("c", "A", "b", "lo", "hi"):
         got, want = getattr(lp, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert np.array_equal(got, want), name
         assert np.array_equal(np.signbit(got), np.signbit(want)), name
     assert lp.senses == ref.senses
-    assert lp.aux_terms == ref.aux_terms
     assert lp.obj_const == ref.obj_const
+
+
+def assert_same_columns(flat, lo, hi, compiled):
+    """relaxed_terms keeps the reference's terms in its column order."""
+    keys = relaxed_terms(compiled, lo, hi)
+    assert [compiled.keys[t] for t in keys] == list(
+        reference_columns(flat, lo, hi))
 
 
 def _random_term_flat(rng):
@@ -716,7 +758,8 @@ def test_compiled_relaxation_matches_reference_on_random_models():
             ref = _reference_relaxation(flat, lo, hi)
             assert_same_lp(build_lp_relaxation(flat, lo, hi, compiled), ref)
             assert_same_lp(build_lp_relaxation(flat, lo, hi), ref)
-            kept = {(t.kind, t.var, t.arg) for t in ref.aux_terms}
+            assert_same_columns(flat, lo, hi, compiled)
+            kept = set(reference_columns(flat, lo, hi))
             for kind, v, arg in compiled.keys:
                 if kind == "bil" and v != arg and (kind, v, arg) not in kept:
                     seen["fold"] += 1
@@ -738,4 +781,5 @@ def test_compiled_relaxation_matches_reference_on_shipped_boxes(policy):
     for lo, hi in boxes:
         assert_same_lp(build_lp_relaxation(flat, lo, hi, compiled),
                        _reference_relaxation(flat, lo, hi))
+        assert_same_columns(flat, lo, hi, compiled)
     assert len(boxes) == 81
