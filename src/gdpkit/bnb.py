@@ -7,11 +7,14 @@ from LP points that pass an exact feasibility check against the
 original rows. Defaults match a 0.01 % relative gap and a 3600 s wall
 clock budget.
 
-A solve compiles its flat model once (relax.compile_flat). Each node
-then calls build_lp_relaxation, lp_solve and feasibility_check through
-this module's names with those arrays, so a node pays only for what
-its box changes: the folds, the aux columns and bounds, the envelope
-rows and a cold simplex solve.
+A solve compiles its flat model once (relax.compile_flat). Each popped
+node's box is first tightened by bound propagation (relax.tighten),
+and the node keeps the tightened box, so its children inherit it; a
+node whose box propagation empties is dropped before its LP and is not
+counted. Each node then calls build_lp_relaxation, lp_solve and
+feasibility_check through this module's names with those arrays, so a
+node pays only for what its box changes: the folds, the aux columns
+and bounds, the envelope rows and a cold simplex solve.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .lp import LpSolution, lp_solve
 from .relax import (CompiledModel, build_lp_relaxation, compile_flat,
-                    relaxed_terms, term_values)
+                    relaxed_terms, term_values, tighten)
 from .transforms import FlatModel, _negated
 
 logger = logging.getLogger(__name__)
@@ -248,6 +251,10 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
         node = heapq.heappop(heap)[3]
         if node.bound >= z:
             continue
+        box = tighten(compiled, node.lo, node.hi)
+        if box is None:
+            continue
+        node.lo, node.hi = box
         sol = lp_solve(build_lp_relaxation(work, node.lo, node.hi, compiled),
                        deadline=t0 + time_limit)
         nodes_done += 1

@@ -22,6 +22,9 @@ the column numbering, the aux bounds and the envelope rows; the node's
 LP is emitted from the arrays with numpy alone. relaxed_terms, the keys
 a box keeps in column order, is the one map from aux columns to terms;
 term_values gives their exact values for the check and the brancher.
+tighten propagates a box through the same arrays before its LP is
+built, with the terms' ranges from term_bounds, which also gives the
+aux columns' bounds.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from .lp import LinearProgram
 from .transforms import FlatModel
 
 N_TANGENTS = 3
+PROPAGATION_ROUNDS = 5
+MIN_MOVE = 1e-3  # the least share of its width a tightened bound removes
 
 
 # Every envelope row reads w + ax*x (+ ay*y) >= or <= rhs, for the aux
@@ -224,6 +229,88 @@ def _first(values, better):
     return out
 
 
+def term_bounds(cm: CompiledModel, lo, hi, keys) -> tuple[np.ndarray,
+                                                          np.ndarray]:
+    """The range over the box of arrays [lo, hi] of each term keys
+    indexes: a product's or a square's least and greatest corner, a pow,
+    log or pwl term's term_interval. These are the aux columns' bounds
+    and the terms' share of a row's activity in tighten."""
+    bil = (cm.product | cm.square)[keys]
+    v, a = cm.var[keys[bil]], cm.arg[keys[bil]]
+    xl, xu, yl, yu = lo[v], hi[v], lo[a], hi[a]
+    # the check comes before inf * 0 could make a corner nan
+    if not np.isfinite(np.concatenate([xl, xu, yl, yu])).all():
+        raise ValueError("McCormick rows need finite bounds")
+    corners = (xl * yl, xl * yu, xu * yl, xu * yu)
+    out_lo = np.empty(len(keys))
+    out_hi = np.empty(len(keys))
+    out_lo[bil] = _first(corners, np.less)
+    out_hi[bil] = _first(corners, np.greater)
+    for i in (~bil).nonzero()[0]:
+        kind, var, arg = cm.keys[keys[i]]
+        out_lo[i], out_hi[i] = term_interval(kind, lo, hi, var, arg)
+    return out_lo, out_hi
+
+
+def tighten(cm: CompiledModel, lo, hi):
+    """Feasibility-based bound tightening of the finite box [lo, hi].
+
+    Each round bounds every term by term_bounds and every row's activity
+    by its entries' ranges; each linear entry a*x then gets the bound
+    the rest of its row leaves it: from above through a <= or = row,
+    from below through a >= or = row. A derived bound is widened by
+    1e-9 (1 + |bound|), a binary's is rounded inward, and a move is kept
+    only if it removes at least MIN_MOVE of the variable's width. Rounds
+    stop after PROPAGATION_ROUNDS or once nothing moves. No point that
+    meets every row exactly leaves the box.
+
+    Returns the tightened (lo, hi) as new arrays, or None when the rows
+    leave the box empty.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("bound propagation needs finite bounds")
+    n0, m = cm.n_model, len(cm.senses)
+    terms = cm.in_rows.nonzero()[0]
+    lin = cm.key < n0  # Expression.add_linear keeps no zero coefficient
+    # a <= or = row bounds a*x from above, a >= or = row from below; a
+    # bound from above is an upper bound on x where a > 0, one from
+    # below where a < 0
+    above = (lin & ~cm.ge[cm.row]).nonzero()[0]
+    below = (lin & (cm.ge | cm.eq)[cm.row]).nonzero()[0]
+    sides = ((above, cm.coef[above] > 0.0), (below, cm.coef[below] < 0.0))
+    row2 = np.concatenate([cm.row, cm.row + m])
+    key_lo = np.empty(n0 + len(cm.keys))
+    key_hi = np.empty(n0 + len(cm.keys))
+    for _ in range(PROPAGATION_ROUNDS):
+        key_lo[:n0], key_hi[:n0] = lo, hi
+        key_lo[n0 + terms], key_hi[n0 + terms] = term_bounds(cm, lo, hi, terms)
+        ends = (cm.coef * key_lo[cm.key], cm.coef * key_hi[cm.key])
+        least, most = np.minimum(*ends), np.maximum(*ends)
+        activity = np.bincount(row2, np.concatenate([least, most]),
+                               minlength=2 * m)
+        # b less the least (the most) the rest of the row can be
+        new_lo, new_hi = np.full(n0, -np.inf), np.full(n0, np.inf)
+        for (e, up), rest, own in zip(sides, (activity[:m], activity[m:]),
+                                      (least, most)):
+            bound = ((cm.b - rest)[cm.row[e]] + own[e]) / cm.coef[e]
+            np.minimum.at(new_hi, cm.key[e[up]], bound[up])
+            np.maximum.at(new_lo, cm.key[e[~up]], bound[~up])
+        new_hi += 1e-9 * (1.0 + np.abs(new_hi))
+        new_lo -= 1e-9 * (1.0 + np.abs(new_lo))
+        new_hi[cm.binaries] = np.floor(new_hi[cm.binaries])
+        new_lo[cm.binaries] = np.ceil(new_lo[cm.binaries])
+        step = MIN_MOVE * (hi - lo)
+        lower, upper = new_lo > lo + step, new_hi < hi - step
+        if not (lower.any() or upper.any()):
+            break
+        lo[lower], hi[upper] = new_lo[lower], new_hi[upper]
+        if (lo > hi).any():
+            return None
+    return lo, hi
+
+
 def build_lp_relaxation(flat: FlatModel, lo, hi,
                         compiled: CompiledModel | None = None
                         ) -> LinearProgram:
@@ -261,8 +348,7 @@ def build_lp_relaxation(flat: FlatModel, lo, hi,
     factor = np.concatenate([np.ones(n0), term_factor])
 
     # aux bounds and each kept term's envelope rows, in column order
-    aux_lo = np.empty(kept.size)
-    aux_hi = np.empty(kept.size)
+    aux_lo, aux_hi = term_bounds(cm, lo, hi, kept)
     n_lines = np.zeros(kept.size, dtype=np.intp)
     groups = []  # (aux positions, ax, ay or None, rhs, senses): lines x terms
     for mask, count in ((cm.product, 4), (cm.square, 3)):
@@ -271,15 +357,10 @@ def build_lp_relaxation(flat: FlatModel, lo, hi,
             continue
         pos = term_col[keys] - n0
         xl, xu = lo[cm.var[keys]], hi[cm.var[keys]]
-        yl, yu = lo[cm.arg[keys]], hi[cm.arg[keys]]
-        if not np.isfinite(np.concatenate([xl, xu, yl, yu])).all():
-            raise ValueError("McCormick rows need finite bounds")
-        corners = (xl * yl, xl * yu, xu * yl, xu * yu)
-        aux_lo[pos] = _first(corners, np.less)
-        aux_hi[pos] = _first(corners, np.greater)
         n_lines[pos] = count
         if count == 4:
-            ax, ay, rhs = _mccormick_lines(xl, xu, yl, yu)
+            ax, ay, rhs = _mccormick_lines(xl, xu, lo[cm.arg[keys]],
+                                           hi[cm.arg[keys]])
             groups.append((pos, ax, ay, rhs, _MCCORMICK_SENSES))
         else:
             ax, rhs = _square_lines(xl, xu)
@@ -287,7 +368,6 @@ def build_lp_relaxation(flat: FlatModel, lo, hi,
     for t in cm.curved:
         kind, v, arg = cm.keys[t]
         pos = term_col[t] - n0
-        aux_lo[pos], aux_hi[pos] = term_interval(kind, lo, hi, v, arg)
         if hi[v] - lo[v] > 1e-12:  # else the aux bounds pin the value
             ax, rhs, senses = (
                 _pwl_lines(arg, cm.segments[t], float(lo[v]), float(hi[v]))

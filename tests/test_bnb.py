@@ -103,6 +103,48 @@ def test_contradictory_logic_rows_infeasible():
     assert res.x is None
 
 
+def test_child_box_emptied_by_propagation_gets_no_lp(monkeypatch):
+    # x >= y and x + y <= 1.5 leave y free at the root, whose LP stops
+    # at y = 0.75; the y = 1 child needs x >= 1 and x <= 0.5, so
+    # propagation empties its box before any relaxation or LP
+    flat = FlatModel(sense="min")
+    x = flat.add_variable("x", 0.0, 10.0)
+    y = flat.add_variable("y", 0.0, 1.0, "binary")
+    flat.objective = Expression().add_linear(-1.0, y)
+    flat.add_constraint(
+        Constraint(Expression().add_linear(1.0, x).add_linear(-1.0, y),
+                   ">=", 0.0, "x over y"), {"kind": "global"})
+    flat.add_constraint(
+        Constraint(Expression().add_linear(1.0, x).add_linear(1.0, y),
+                   "<=", 1.5, "cap"), {"kind": "global"})
+    calls = {"tighten": [], "relax": 0, "lp": 0}
+    real_tighten, real_build = bnbmod.tighten, bnbmod.build_lp_relaxation
+    real_solve = bnbmod.lp_solve
+
+    def tighten(cm, lo, hi):
+        box = real_tighten(cm, lo, hi)
+        calls["tighten"].append((hi[y], box))
+        return box
+
+    def build(*args):
+        calls["relax"] += 1
+        return real_build(*args)
+
+    def solve(lp, deadline=None):
+        calls["lp"] += 1
+        return real_solve(lp, deadline)
+
+    monkeypatch.setattr(bnbmod, "tighten", tighten)
+    monkeypatch.setattr(bnbmod, "build_lp_relaxation", build)
+    monkeypatch.setattr(bnbmod, "lp_solve", solve)
+    res = solve_global(flat)
+    assert res.status == "optimal"
+    assert res.objective == 0.0
+    assert res.nodes == calls["relax"] == calls["lp"] == 2
+    emptied = [hi_y for hi_y, box in calls["tighten"] if box is None]
+    assert len(calls["tighten"]) == 3 and emptied == [1.0]
+
+
 def test_maximization_by_negation():
     flat = neg_product_model()
     flat.sense = "max"
@@ -393,9 +435,9 @@ SHIPPED = {
     # policy: (nodes, objective) of the search to the 1e-4 gap; the
     # objectives to 12 digits, as 6 decimals are off by up to 2e-9
     # relative
-    "quad": (129, 90.5655796841),
-    "pwl21": (69, 90.3759441357),
-    "none": (116, 90.3748298262),
+    "quad": (39, 90.5681127731),
+    "pwl21": (39, 90.3761266740),
+    "none": (39, 90.3779328705),
 }
 
 

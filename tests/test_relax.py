@@ -1,21 +1,28 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from gdpkit import (apply_approximation, bigm_transform, build_wtn_gdp,
+                    load_wtn_data, parse_wtn_data, solve_global)
 from gdpkit.approx import ApproxPolicy
 from gdpkit.lp import LinearProgram, lp_solve
-from gdpkit.model import (Constraint, DomainError, Expression, interval_eval,
-                          pwl_value, term_interval)
+from gdpkit.model import (BINARY, Constraint, DomainError, Expression,
+                          interval_eval, pwl_value, term_interval)
 from gdpkit.relax import (
     build_lp_relaxation,
     compile_flat,
     relaxed_terms,
     term_values,
+    tighten,
 )
 from gdpkit.transforms import FlatModel
 
-from test_lp import _highs, _shipped_network_boxes
+from test_lp import INSTANCE, REPO, _highs, _shipped_network_boxes
+
+sys.path.insert(0, str(REPO / "bench"))
+from workloads import generate_network  # noqa: E402
 
 
 # -- envelope rows as build_lp_relaxation emits them ---------------------
@@ -783,3 +790,101 @@ def test_compiled_relaxation_matches_reference_on_shipped_boxes(policy):
                        _reference_relaxation(flat, lo, hi))
         assert_same_columns(flat, lo, hi, compiled)
     assert len(boxes) == 81
+
+
+# -- bound propagation ---------------------------------------------------
+
+
+def _planted_model(rng):
+    """A _random_term_flat model with two binaries on some rows, a point
+    x0 in its box, each = row's rhs its value at x0 and each inequality
+    met at x0 with a slack that is zero a third of the time; and a
+    random box inside the model's that holds x0, each variable kept,
+    cut around x0, or fixed at it."""
+    flat = _random_term_flat(rng)
+    binaries = [flat.add_variable(f"y{k}", 0.0, 1.0, BINARY)
+                for k in range(2)]
+    lo, hi = (np.array(a) for a in flat.bounds_arrays())
+    x0 = rng.uniform(lo, hi)
+    ends = rng.random(x0.size) < 0.2
+    x0[ends] = np.where(rng.random(ends.sum()) < 0.5, lo[ends], hi[ends])
+    x0[binaries] = rng.integers(0, 2, 2)
+    rows = []
+    for c in flat.constraints:
+        for y in binaries:
+            if rng.random() < 0.4:
+                c.body.add_linear(float(rng.uniform(-5, 5)), y)
+        value = c.body.evaluate(x0)
+        slack = 0.0 if rng.random() < 0.33 else float(rng.uniform(0, 2))
+        rhs = {"=": value, "<=": value + slack, ">=": value - slack}[c.sense]
+        rows.append(Constraint(c.body, c.sense, rhs, c.label))
+    flat.constraints = rows
+    box_lo, box_hi = lo.copy(), hi.copy()
+    for v in range(x0.size):
+        roll = rng.random()
+        if roll < 0.2:
+            box_lo[v] = box_hi[v] = x0[v]
+        elif roll < 0.6 and v not in binaries:
+            box_lo[v] = rng.uniform(lo[v], x0[v])
+            box_hi[v] = rng.uniform(x0[v], hi[v])
+    return flat, x0, box_lo, box_hi
+
+
+def test_tighten_keeps_a_planted_point_on_random_models():
+    # every term kind and sense, = rows through x0: the tightened box
+    # still holds x0, lies inside the given one, and keeps binaries
+    # integral
+    rng = np.random.default_rng(83)
+    seen = {"=": 0, "<=": 0, ">=": 0, "moved": 0, "binary fixed": 0}
+    for _ in range(500):
+        flat, x0, lo, hi = _planted_model(rng)
+        cm = compile_flat(flat)
+        box = tighten(cm, lo, hi)
+        assert box is not None
+        t_lo, t_hi = box
+        assert (t_lo <= x0).all() and (x0 <= t_hi).all()
+        assert (lo <= t_lo).all() and (t_hi <= hi).all()
+        for bound in (t_lo[cm.binaries], t_hi[cm.binaries]):
+            assert (bound == np.rint(bound)).all()
+        for c in flat.constraints:
+            seen[c.sense] += 1
+        seen["moved"] += (t_lo > lo).any() or (t_hi < hi).any()
+        seen["binary fixed"] += (
+            (t_lo == t_hi) & (lo < hi))[cm.binaries].any()
+    assert min(seen.values()) >= 50, seen
+
+
+def _incumbent_networks():
+    """The shipped network and generated nets 0-19, each flattened under
+    quad, pwl with 21 segments and with its power terms kept."""
+    datas = [load_wtn_data(INSTANCE)] + [
+        parse_wtn_data(generate_network(k, 2, 1, 2)) for k in range(20)]
+    for data in datas:
+        for policy in (ApproxPolicy("quad"),
+                       ApproxPolicy("pwl", n_segments=21), None):
+            model = build_wtn_gdp(data)
+            if policy is not None:
+                model, _ = apply_approximation(model, policy)
+            yield bigm_transform(model)
+
+
+def test_tighten_keeps_the_solvers_incumbents():
+    # an incumbent meets the rows to 1e-6, not exactly: it stays within
+    # that of the tightened root box, and of the box tightened with its
+    # own binaries fixed
+    points = 0
+    for flat in _incumbent_networks():
+        res = solve_global(flat, gap=1e-4, node_limit=60)
+        if res.x is None:
+            continue
+        points += 1
+        cm = compile_flat(flat)
+        lo, hi = (np.array(a) for a in flat.bounds_arrays())
+        fixed_lo, fixed_hi = lo.copy(), hi.copy()
+        fixed_lo[cm.binaries] = fixed_hi[cm.binaries] = np.rint(
+            res.x[cm.binaries])
+        for box in (tighten(cm, lo, hi), tighten(cm, fixed_lo, fixed_hi)):
+            assert box is not None
+            assert (box[0] - res.x).max() <= 1e-6
+            assert (res.x - box[1]).max() <= 1e-6
+    assert points >= 50
