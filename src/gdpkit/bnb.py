@@ -7,14 +7,14 @@ from LP points that pass an exact feasibility check against the
 original rows. Defaults match a 0.01 % relative gap and a 3600 s wall
 clock budget.
 
-A solve compiles its flat model once (relax.compile_flat). Each popped
-node's box is first tightened by bound propagation (relax.tighten),
-and the node keeps the tightened box, so its children inherit it; a
-node whose box propagation empties is dropped before its LP and is not
-counted. Each node then calls build_lp_relaxation, lp_solve and
-feasibility_check through this module's names with those arrays, so a
-node pays only for what its box changes: the folds, the aux columns
-and bounds, the envelope rows and a cold simplex solve.
+A solve compiles its flat model, its LP columns and its root box once
+(relax.compile_flat). Each popped node's box is first tightened by
+bound propagation (relax.tighten), and the node keeps the tightened
+box, so its children inherit it; a node whose box propagation empties
+is dropped before its LP and is not counted. Each node then calls
+build_lp_relaxation, lp_solve and feasibility_check through this
+module's names with those arrays, so a node pays only for what its box
+changes: the bounds, the envelope rows and a cold simplex solve.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .lp import LpSolution, lp_solve
 from .relax import (CompiledModel, build_lp_relaxation, compile_flat,
-                    relaxed_terms, term_values, tighten)
+                    term_values, tighten)
 from .transforms import FlatModel, _negated
 
 logger = logging.getLogger(__name__)
@@ -99,8 +99,7 @@ def feasibility_check(point, flat: FlatModel, tol: float = FEAS_TOL,
     # the value of each entry's key: the variable, or the term
     value = np.zeros(cm.n_model + len(cm.keys))
     value[:cm.n_model] = x
-    keys = cm.in_rows.nonzero()[0]
-    value[cm.n_model + keys] = term_values(cm, x, keys)
+    value[cm.n_model + cm.in_rows] = term_values(cm, x, cm.in_rows)
     n_con = len(cm.senses)
     body = np.bincount(np.concatenate([np.arange(n_con), cm.row]),
                        np.concatenate([cm.constant,
@@ -118,8 +117,8 @@ def branch_select(node: BnbNode, sol: LpSolution, compiled: CompiledModel):
 
     Fractional binaries first (most fractional, median index among
     ties); otherwise the variable carrying the largest total envelope
-    violation |aux - term value| over relaxed_terms, the box's aux
-    columns, split at the LP point clamped to the middle 40 % of its
+    violation |aux - term value| over the aux columns of compiled.kept,
+    split at the LP point clamped to the middle 40 % of its
     interval. Returns ("binary", id), ("spatial", id, point) or None.
     """
     cm = compiled
@@ -133,12 +132,12 @@ def branch_select(node: BnbNode, sol: LpSolution, compiled: CompiledModel):
 
     # each kept term's violation goes to var, then to arg for a product,
     # summed in column order
-    n_model = cm.n_model
-    keys = relaxed_terms(cm, node.lo, node.hi)
-    amount = np.abs(x[n_model:n_model + keys.size] - term_values(cm, x, keys))
+    keys = cm.kept
+    amount = np.abs(x[cm.n_model:] - term_values(cm, x, keys))
     take = np.array([np.ones(keys.size, dtype=bool), cm.product[keys]]).T
     weight = np.bincount(np.array([cm.var[keys], cm.arg[keys]]).T[take],
-                         np.array([amount, amount]).T[take], minlength=n_model)
+                         np.array([amount, amount]).T[take],
+                         minlength=cm.n_model)
     for vid in np.argsort(-weight, kind="stable"):
         vid = int(vid)
         width = node.hi[vid] - node.lo[vid]
@@ -155,7 +154,7 @@ def _midsplit_decision(node: BnbNode, compiled: CompiledModel):
     """Fallback split for nodes whose LP failed: the widest variable of
     a kept term or binary, the lowest id among ties."""
     cm = compiled
-    keys = relaxed_terms(cm, node.lo, node.hi)
+    keys = cm.kept
     cand = np.unique(np.concatenate([cm.var[keys], cm.arg[keys], cm.binaries]))
     width = node.hi[cand] - node.lo[cand]
     if not (width > MIN_WIDTH).any():
@@ -211,8 +210,6 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
         work = replace(flat, sense="min", objective=_negated(flat.objective))
 
     compiled = compile_flat(work)
-    lo0 = np.array([v.lower for v in work.variables])
-    hi0 = np.array([v.upper for v in work.variables])
 
     z = math.inf
     best_x: np.ndarray | None = None
@@ -236,7 +233,7 @@ def solve_global(flat: FlatModel, gap: float = DEFAULT_GAP,
             vals.append(min(unexplored))
         return min(vals)
 
-    push(BnbNode(lo0, hi0, -math.inf, 0))
+    push(BnbNode(compiled.lo, compiled.hi, -math.inf, 0))
     while heap:
         if time.monotonic() - t0 > time_limit:
             stop = "time_limit"

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .approx import ApproxPolicy, apply_approximation
-from .bnb import solve_global
+from .bnb import DEFAULT_GAP, DEFAULT_TIME_LIMIT, solve_global
 from .model import load_model
 from .transforms import bigm_transform
 from .wtn import build_wtn_gdp, load_wtn_data, relative_error
@@ -57,10 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="strategy for power/log terms (default: none)")
     p.add_argument("--segments", type=int, default=101,
                    help="piecewise segments per term (default: 101)")
-    p.add_argument("--gap", type=float, default=1e-4,
-                   help="relative optimality gap (default: 1e-4)")
-    p.add_argument("--time-limit", type=float, default=3600.0,
-                   help="wall clock budget in seconds (default: 3600)")
+    p.add_argument("--gap", type=float, default=DEFAULT_GAP,
+                   help="relative optimality gap (default: %(default)g)")
+    p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
+                   help="wall clock budget in seconds (default: %(default)g)")
     p.add_argument("--reference", type=float, default=None,
                    help="reference objective for the relative error field")
     p.add_argument("--out", metavar="PATH", default=None,

@@ -365,7 +365,7 @@ class _Simplex:
 
         cost2 = np.zeros(self.n_total)
         cost2[:n] = lp.c
-        status = self._run_phase(cost2)
+        status = self._run_phase(cost2) if self.n_total else "optimal"
         if status != "optimal":
             return LpSolution(status, None, None, np.inf, self.n_pivots)
 

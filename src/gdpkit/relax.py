@@ -4,27 +4,26 @@ Each nonlinear term gets a fresh auxiliary variable tied down by valid
 linear rows over the current box: the four McCormick rows for products
 (secant plus endpoint tangents for squares), secant-below /
 tangents-above rows for concave powers and logs, and the convex hull
-of a concave table's graph for piecewise-linear terms. A product with
-a fixed factor (lo == hi) is linear over the box: it becomes a
-coefficient on the other factor, with no column and no rows. Shrinking
-the box can only tighten the result; a degenerate box forces any other
-auxiliary to the exact term value. The envelope formulas are defined
-once, in the *_lines functions, and build_lp_relaxation is the one way
-to their rows: as rows of the LP over a box, which is what the simplex
-solves and what the tests certify.
+of a concave table's graph for piecewise-linear terms. Shrinking the
+box can only tighten the result; a degenerate box forces the auxiliary
+to the exact term value. The envelope formulas are defined once, in
+the *_lines functions, and build_lp_relaxation is the one way to their
+rows: as rows of the LP over a box, which is what the simplex solves
+and what the tests certify.
 
 A flat model is compiled once per solve (compile_flat): its distinct
 terms in order of first appearance, each row's linear and term entries
 as index and coefficient arrays in Expression order, the senses, the
-right-hand sides, the binaries and each pwl table's segment lines. A
-node changes only the box, and the box decides which products fold,
-the column numbering, the aux bounds and the envelope rows; the node's
-LP is emitted from the arrays with numpy alone. relaxed_terms, the keys
-a box keeps in column order, is the one map from aux columns to terms;
-term_values gives their exact values for the check and the brancher.
-tighten propagates a box through the same arrays before its LP is
-built, with the terms' ranges from term_bounds, which also gives the
-aux columns' bounds.
+right-hand sides, the binaries and each pwl table's segment lines.
+The model's bounds fix the LP's columns there: a product with a factor
+the model fixes (lower == upper) is a coefficient on the other factor,
+with no column and no rows, and kept maps the aux columns to their
+terms. A node's box decides only the aux bounds and the envelope rows,
+and its LP is emitted from the arrays with numpy alone. term_values
+gives the terms' exact values for the check and the brancher. tighten
+propagates a box through the same arrays before its LP is built, with
+the terms' ranges from term_bounds, which also gives the aux columns'
+bounds.
 """
 
 from __future__ import annotations
@@ -128,12 +127,16 @@ class CompiledModel:
     variables (arg is var for a term of one variable). product marks a
     bil key of two variables, square one of a variable with itself,
     curved lists the pow, log and pwl keys, and segments holds each pwl
-    key's segment lines. in_rows marks the keys some row holds.
+    key's segment lines. in_rows lists the keys some row holds.
 
     Each entry of a row is (row, key, coef) in Expression order. A key
     below n_model is that variable's linear entry; key n_model + t is
-    term keys[t]. The objective's entries are obj_key and obj_coef.
-    b is each row's rhs less its constant, the LP's right-hand side.
+    term keys[t]. b is each row's rhs less its constant, the LP's
+    right-hand side. lo and hi are the model's bounds, the root box.
+    The LP's columns are the model's variables, then an aux column for
+    each key of kept. pinned lists the fixed factors the folds read;
+    cells, values and c are the model rows' entries of A and the LP's
+    objective.
     """
 
     n_model: int
@@ -148,8 +151,6 @@ class CompiledModel:
     row: np.ndarray
     key: np.ndarray
     coef: np.ndarray
-    obj_key: np.ndarray
-    obj_coef: np.ndarray
     senses: list[str]
     eq: np.ndarray
     ge: np.ndarray
@@ -157,6 +158,13 @@ class CompiledModel:
     constant: np.ndarray
     b: np.ndarray
     binaries: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    kept: np.ndarray
+    pinned: np.ndarray
+    cells: np.ndarray
+    values: np.ndarray
+    c: np.ndarray
 
 
 def compile_flat(flat: FlatModel) -> CompiledModel:
@@ -181,32 +189,41 @@ def compile_flat(flat: FlatModel) -> CompiledModel:
     var = np.array([v for _, v, _ in keys], dtype=np.intp)
     arg = np.array([a if k == "bil" else v for k, v, a in keys], dtype=np.intp)
     bil = np.array([k == "bil" for k, _, _ in keys], dtype=bool)
+    product = bil & (var != arg)
     curved = [t for t, (k, _, _) in enumerate(keys) if k != "bil"]
-    in_rows = np.zeros(len(keys), dtype=bool)
-    in_rows[key[key >= n0] - n0] = True
+    in_rows = np.bincount(key[key >= n0] - n0,
+                          minlength=len(keys)).nonzero()[0]
     senses = np.array([c.sense for c in flat.constraints], dtype=str)
     rhs = np.array([c.rhs for c in flat.constraints], dtype=float)
     constant = np.array([c.body.constant for c in flat.constraints],
                         dtype=float)
+
+    # a folded product is a coefficient on var (arg's value) if arg is
+    # fixed, else on arg (var's value); kept keys take the aux columns
+    lo, hi = (np.array(b, dtype=float) for b in flat.bounds_arrays())
+    arg_fixed = lo[arg] == hi[arg]
+    folded = product & (arg_fixed | (lo[var] == hi[var]))
+    kept = (~folded).nonzero()[0]
+    n = n0 + kept.size
+    key_col = np.concatenate([np.arange(n0), np.where(arg_fixed, var, arg)])
+    key_col[n0 + kept] = np.arange(n0, n)
+    key_factor = np.ones(n0 + len(keys))
+    key_factor[n0:][folded] = np.where(arg_fixed, lo[arg], lo[var])[folded]
     return CompiledModel(
-        n_model=n0, keys=keys, var=var, arg=arg,
-        product=bil & (var != arg), square=bil & (var == arg), curved=curved,
+        n_model=n0, keys=keys, var=var, arg=arg, product=product,
+        square=bil & (var == arg), curved=curved,
         segments={t: _segment_lines(keys[t][2]) for t in curved
                   if keys[t][0] == "pwl"},
-        in_rows=in_rows, row=row, key=key, coef=coef, obj_key=obj_key,
-        obj_coef=obj_coef, senses=senses.tolist(), eq=senses == SENSE_EQ,
-        ge=senses == SENSE_GE,
+        in_rows=in_rows, row=row, key=key, coef=coef,
+        senses=senses.tolist(), eq=senses == SENSE_EQ, ge=senses == SENSE_GE,
         rhs=rhs, constant=constant, b=rhs - constant,
         binaries=np.array([v.id for v in flat.variables if v.kind == BINARY],
-                          dtype=np.intp))
-
-
-def relaxed_terms(cm: CompiledModel, lo, hi) -> np.ndarray:
-    """The keys that keep an aux column over the box of arrays [lo, hi],
-    in column order: every term but a product of two variables one of
-    which the box fixes, which is exact as a coefficient on the other."""
-    fixed = lo == hi
-    return (~(cm.product & (fixed[cm.var] | fixed[cm.arg]))).nonzero()[0]
+                          dtype=np.intp),
+        lo=lo, hi=hi, kept=kept,
+        pinned=np.where(arg_fixed, arg, var)[folded],
+        cells=row * n + key_col[key], values=coef * key_factor[key],
+        c=np.bincount(key_col[obj_key], obj_coef * key_factor[obj_key],
+                      minlength=n))
 
 
 def term_values(cm: CompiledModel, x: np.ndarray, keys) -> np.ndarray:
@@ -272,7 +289,6 @@ def tighten(cm: CompiledModel, lo, hi):
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("bound propagation needs finite bounds")
     n0, m = cm.n_model, len(cm.senses)
-    terms = cm.in_rows.nonzero()[0]
     lin = cm.key < n0  # Expression.add_linear keeps no zero coefficient
     # a <= or = row bounds a*x from above, a >= or = row from below; a
     # bound from above is an upper bound on x where a > 0, one from
@@ -285,7 +301,8 @@ def tighten(cm: CompiledModel, lo, hi):
     key_hi = np.empty(n0 + len(cm.keys))
     for _ in range(PROPAGATION_ROUNDS):
         key_lo[:n0], key_hi[:n0] = lo, hi
-        key_lo[n0 + terms], key_hi[n0 + terms] = term_bounds(cm, lo, hi, terms)
+        key_lo[n0 + cm.in_rows], key_hi[n0 + cm.in_rows] = term_bounds(
+            cm, lo, hi, cm.in_rows)
         ends = (cm.coef * key_lo[cm.key], cm.coef * key_hi[cm.key])
         least, most = np.minimum(*ends), np.maximum(*ends)
         activity = np.bincount(row2, np.concatenate([least, most]),
@@ -316,12 +333,11 @@ def build_lp_relaxation(flat: FlatModel, lo, hi,
                         ) -> LinearProgram:
     """Assemble the LP relaxation of a flattened model over a box.
 
-    Distinct nonlinear terms share one auxiliary column each, in order
-    of first appearance: column n_model + k stands in for the key
-    relaxed_terms(compiled, lo, hi)[k]. A product of two variables one
-    of which the box fixes is exact as a linear coefficient on the other
-    (on var when both are fixed), so it gets no column and no rows.
-    compiled is compile_flat(flat), made here when not given.
+    The columns are those compile_flat fixed from the model's bounds,
+    and the box decides only the bounds and the envelope rows: a factor
+    only the box fixes keeps its product's column and McCormick rows,
+    exact there, and a box that moves a factor the model fixes raises
+    ValueError. compiled is compile_flat(flat), made here when not given.
 
     Coefficients that meet in one cell are summed in Expression order
     onto +0.0, as a row-by-row build adding each entry in turn would.
@@ -333,29 +349,17 @@ def build_lp_relaxation(flat: FlatModel, lo, hi,
     if lo.shape != (n0,) or hi.shape != (n0,):
         raise ValueError(f"box has {lo.size} lower and {hi.size} upper "
                          f"bounds for {n0} model variables")
-
-    # a folded product lands on var, times arg's value, when arg is
-    # fixed, else on arg; a kept term has the next aux column and
-    # factor 1.0
-    kept = relaxed_terms(cm, lo, hi)
-    n = n0 + kept.size
-    arg_fixed = lo[cm.arg] == hi[cm.arg]
-    term_col = np.where(arg_fixed, cm.var, cm.arg)
-    term_col[kept] = np.arange(n0, n)
-    key_col = np.concatenate([np.arange(n0), term_col])
-    term_factor = np.where(arg_fixed, lo[cm.arg], lo[cm.var])
-    term_factor[kept] = 1.0
-    factor = np.concatenate([np.ones(n0), term_factor])
+    if ((lo != cm.lo) | (hi != cm.hi))[cm.pinned].any():
+        raise ValueError("box moves a factor the model fixes")
+    n = cm.c.size
 
     # aux bounds and each kept term's envelope rows, in column order
-    aux_lo, aux_hi = term_bounds(cm, lo, hi, kept)
-    n_lines = np.zeros(kept.size, dtype=np.intp)
+    aux_lo, aux_hi = term_bounds(cm, lo, hi, cm.kept)
+    n_lines = np.zeros(cm.kept.size, dtype=np.intp)
     groups = []  # (aux positions, ax, ay or None, rhs, senses): lines x terms
     for mask, count in ((cm.product, 4), (cm.square, 3)):
-        keys = kept[mask[kept]]
-        if not keys.size:
-            continue
-        pos = term_col[keys] - n0
+        pos = mask[cm.kept].nonzero()[0]
+        keys = cm.kept[pos]
         xl, xu = lo[cm.var[keys]], hi[cm.var[keys]]
         n_lines[pos] = count
         if count == 4:
@@ -367,7 +371,7 @@ def build_lp_relaxation(flat: FlatModel, lo, hi,
             groups.append((pos, ax, None, rhs, _SQUARE_SENSES))
     for t in cm.curved:
         kind, v, arg = cm.keys[t]
-        pos = term_col[t] - n0
+        pos = cm.kept.searchsorted(t)
         if hi[v] - lo[v] > 1e-12:  # else the aux bounds pin the value
             ax, rhs, senses = (
                 _pwl_lines(arg, cm.segments[t], float(lo[v]), float(hi[v]))
@@ -386,25 +390,23 @@ def build_lp_relaxation(flat: FlatModel, lo, hi,
 
     # every cell of A as a flat index and its value, the model rows'
     # entries first; bincount adds them in that order onto +0.0
-    cells = [cm.row * n + key_col[cm.key]]
-    values = [cm.coef * factor[cm.key]]
+    cells = [cm.cells]
+    values = [cm.values]
     for pos, ax, ay, rhs, senses in groups:
         line = first_line[pos] + np.arange(len(senses))[:, None]
         b[line] = rhs
         ge[line[:senses.count(SENSE_GE)]] = True  # every family lists >= first
-        cells += [line * n + (n0 + pos), line * n + cm.var[kept[pos]]]
+        cells += [line * n + (n0 + pos), line * n + cm.var[cm.kept[pos]]]
         values += [np.ones(line.shape), ax]
         if ay is not None:
-            cells.append(line * n + cm.arg[kept[pos]])
+            cells.append(line * n + cm.arg[cm.kept[pos]])
             values.append(ay)
     A = np.bincount(np.concatenate([c.ravel() for c in cells]),
                     np.concatenate([v.ravel() for v in values]),
                     minlength=m * n).reshape(m, n)
 
-    c = np.bincount(key_col[cm.obj_key], cm.obj_coef * factor[cm.obj_key],
-                    minlength=n)
     return LinearProgram(
-        c=c, A=A,
+        c=cm.c, A=A,
         senses=cm.senses + np.where(ge[n_con:], SENSE_GE, SENSE_LE).tolist(),
         b=b,
         lo=np.concatenate([lo, aux_lo]),

@@ -3,7 +3,6 @@
 Each test prints one pass/fail line (run with -s to watch them live).
 """
 
-import math
 import time
 
 import numpy as np

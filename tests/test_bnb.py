@@ -18,12 +18,12 @@ from gdpkit.bnb import (
 )
 from gdpkit.lp import LpSolution, lp_solve
 from gdpkit.model import Constraint, Expression, term_value
-from gdpkit.relax import (build_lp_relaxation, compile_flat, relaxed_terms,
-                          term_values)
+from gdpkit.relax import build_lp_relaxation, compile_flat, term_values
 from gdpkit.transforms import FlatModel
 
 from test_lp import INSTANCE
-from test_relax import _random_box, _random_term_flat, reference_columns
+from test_relax import (_fix_factors, _random_box, _random_term_flat,
+                        reference_columns)
 
 
 def neg_product_model():
@@ -549,6 +549,10 @@ def test_each_node_builds_one_relaxation_and_one_lp(monkeypatch):
     assert len(calls["compile"]) == 1
     compiled = [args[3] for args in calls["relax"] + calls["feas"]]
     assert all(c is compiled[0] for c in compiled)
+    # and every node LP has the columns it fixed
+    cm = compiled[0]
+    assert {args[0].A.shape[1] for args in calls["lp"]} == {
+        cm.n_model + cm.kept.size}
 
 
 # -- branching against the loops it replaced -----------------------------
@@ -559,8 +563,8 @@ def _participants(kind, var, arg):
 
 
 def _loop_branch_select(node, sol, flat, columns):
-    """branch_select as a loop over flat.variables and the box's kept
-    terms, columns = reference_columns(flat, node.lo, node.hi)."""
+    """branch_select as a loop over flat.variables and the model's kept
+    terms, columns = reference_columns(flat)."""
     x = sol.x
     scored = []
     for v in flat.variables:
@@ -637,7 +641,7 @@ def test_branching_matches_the_loops_at_every_shipped_node(shipped,
         sol = real_solve(lp, deadline)
         work, lo, hi, cm = boxes[-1]
         node = BnbNode(lo, hi, -np.inf, 0)
-        columns = reference_columns(work, lo, hi)
+        columns = reference_columns(work)
         resplit = bnbmod._midsplit_decision(node, cm)
         _assert_same_decision(resplit,
                               _loop_midsplit_decision(node, work, columns))
@@ -664,15 +668,15 @@ def test_branching_matches_the_loops_at_every_shipped_node(shipped,
 
 
 def test_branching_matches_the_loops_at_random_points():
-    # models over every term kind, and small ones with binaries, at
-    # random boxes and at random points inside the relaxation's bounds:
-    # folded products, fixed binaries, and products whose second factor
-    # carries the largest weight
+    # models over every term kind, and small ones with binaries, each
+    # with factors the model fixes, at random boxes and at random points
+    # inside the relaxation's bounds: folded products, fixed binaries,
+    # and products whose second factor carries the largest weight
     rng = np.random.default_rng(71)
     seen = {"binary": 0, "spatial": 0, "arg": 0}
     for k in range(160):
-        flat = (_random_term_flat(rng) if k % 2 else
-                random_instance(int(rng.integers(10**6))))
+        flat = _fix_factors(rng, _random_term_flat(rng) if k % 2 else
+                            random_instance(int(rng.integers(10**6))))
         cm = compile_flat(flat)
         binaries = [v.id for v in flat.variables if v.kind == "binary"]
         for _ in range(4):
@@ -683,15 +687,14 @@ def test_branching_matches_the_loops_at_random_points():
             if rng.random() < 0.5:
                 x[binaries] = np.round(x[binaries])
             sol = LpSolution("optimal", x, 0.0, 0.0, 0)
-            columns = reference_columns(flat, lo, hi)
+            columns = reference_columns(flat)
             decision = branch_select(node, sol, cm)
             _assert_same_decision(decision, _loop_branch_select(
                 node, sol, flat, columns))
             _assert_same_decision(bnbmod._midsplit_decision(node, cm),
                                   _loop_midsplit_decision(node, flat, columns))
-            keys = relaxed_terms(cm, lo, hi)
             for (kind, v, arg), value in zip(columns,
-                                             term_values(cm, x, keys)):
+                                             term_values(cm, x, cm.kept)):
                 assert np.float64(value).tobytes() == np.float64(
                     term_value(kind, x, v, arg)).tobytes()
             if decision is not None:

@@ -45,6 +45,19 @@ def test_model_pipeline_without_approximation(tmp_path):
     assert report["approximation"] == []
 
 
+def test_model_without_variables_reports_its_constant(tmp_path):
+    m = GdpModel()
+    m.objective = Expression(2.5)
+    path = tmp_path / "model.json"
+    path.write_text(save_model(m))
+    out = tmp_path / "report.json"
+    assert run(["--model", str(path), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["status"] == "optimal"
+    assert result["objective"] == 2.5
+    assert result["incumbent"] == {}
+
+
 def test_reference_produces_relative_error(tmp_path):
     model = bilinear_model_file(tmp_path)
     out = tmp_path / "report.json"

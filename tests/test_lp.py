@@ -78,6 +78,15 @@ def test_empty_box_infeasible():
     assert sol.status == "infeasible"
 
 
+def test_lp_without_rows_or_columns_is_optimal_at_its_constant():
+    sol = lp_solve(make_lp([], np.zeros((0, 0)), [], [], [], [],
+                           obj_const=2.5))
+    assert sol.status == "optimal"
+    assert sol.x.shape == (0,)
+    assert sol.objective == 2.5
+    assert sol.n_pivots == 0
+
+
 def test_bound_only_minimization():
     sol = lp_solve(make_lp([-1.0, 2.0], np.zeros((0, 2)), [], [],
                            [2.0, -3.0], [5.0, 4.0]))

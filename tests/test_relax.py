@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from gdpkit.model import (BINARY, Constraint, DomainError, Expression,
 from gdpkit.relax import (
     build_lp_relaxation,
     compile_flat,
-    relaxed_terms,
     term_values,
     tighten,
 )
@@ -49,24 +49,20 @@ def envelope_lp(kind, lo, hi, arg=None):
     return lp
 
 
-def aux_columns(flat, lo, hi):
-    """(column, kind, var, arg) of each aux column of the relaxation
-    over the box: the keys relaxed_terms keeps, from column n_model on."""
+def aux_columns(flat):
+    """(column, kind, var, arg) of each aux column of the model's
+    relaxations: the keys compile_flat keeps, from column n_model on."""
     cm = compile_flat(flat)
-    keys = relaxed_terms(cm, np.asarray(lo, dtype=float),
-                         np.asarray(hi, dtype=float))
-    return [(col, *cm.keys[t]) for col, t in enumerate(keys, cm.n_model)]
+    return [(col, *cm.keys[t]) for col, t in enumerate(cm.kept, cm.n_model)]
 
 
-def violations_at(flat, lo, hi, point):
-    """|aux - exact term value| at point for each aux column over the
-    box, in column order."""
+def violations_at(flat, point):
+    """|aux - exact term value| at point for each aux column, in column
+    order."""
     cm = compile_flat(flat)
-    keys = relaxed_terms(cm, np.asarray(lo, dtype=float),
-                         np.asarray(hi, dtype=float))
     point = np.asarray(point, dtype=float)
-    aux = point[cm.n_model:cm.n_model + keys.size]
-    return np.abs(aux - term_values(cm, point, keys)).tolist()
+    aux = point[cm.n_model:cm.n_model + cm.kept.size]
+    return np.abs(aux - term_values(cm, point, cm.kept)).tolist()
 
 
 def row_violations(lp, point):
@@ -97,12 +93,12 @@ def test_mccormick_unit_box_rows():
 
 
 def test_mccormick_degenerate_factor_pins_product():
-    # a factor the box fixes makes the product exact: 2*y, as y's
+    # a factor the model fixes makes the product exact: 2*y, as y's
     # coefficient, with no column and no rows
     box = ([2.0, -1.0], [2.0, 3.0])
     lp = envelope_lp("bil", *box)
     assert lp.A.shape == (0, 2)
-    assert aux_columns(envelope_flat("bil", *box), *box) == []
+    assert aux_columns(envelope_flat("bil", *box)) == []
     for y in (-1.0, 0.7, 3.0):
         assert lp.c @ [2.0, y] == pytest.approx(2.0 * y, abs=1e-12)
 
@@ -262,7 +258,7 @@ def linear_flat():
 def test_relaxation_of_linear_model_is_identity():
     flat = linear_flat()
     lp = build_lp_relaxation(flat, [0.0], [1.0])
-    assert aux_columns(flat, [0.0], [1.0]) == []
+    assert aux_columns(flat) == []
     assert lp.A.shape == (1, 1)
     sol = lp_solve(lp)
     assert sol.objective == pytest.approx(0.25)
@@ -285,52 +281,88 @@ def test_relaxation_bound_of_negative_product():
     sol = lp_solve(lp)
     # vertex oracle over the 5-row polytope gives -0.5 at x = y = w = 0.5
     assert sol.objective == pytest.approx(-0.5, abs=1e-9)
-    assert violations_at(flat, [0.0, 0.0], [1.0, 1.0], sol.x)[0] == \
-        pytest.approx(0.25, abs=1e-9)
+    assert violations_at(flat, sol.x)[0] == pytest.approx(0.25, abs=1e-9)
 
 
 def test_node_with_fixed_binary_reduces_box():
-    # y = 1 makes x*y exact: the product is x's coefficient, no column
+    # y = 1 in the model makes x*y exact: the product is x's
+    # coefficient, no column
     flat = FlatModel(sense="min")
     x = flat.add_variable("x", 0.0, 1.0)
-    y = flat.add_variable("y", 0.0, 1.0, "binary")
+    y = flat.add_variable("y", 1.0, 1.0, "binary")
     flat.objective = Expression().add_bilinear(1.0, x, y)
     lp = build_lp_relaxation(flat, [0.0, 1.0], [1.0, 1.0])
     assert lp.lo[1] == lp.hi[1] == 1.0
-    assert aux_columns(flat, [0.0, 1.0], [1.0, 1.0]) == []
+    assert aux_columns(flat) == []
     assert lp.A.shape == (0, 2)
     assert list(lp.c) == [1.0, 0.0]
     sol = lp_solve(lp)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
 
-def test_product_with_a_fixed_factor_is_a_coefficient():
+def fixed_factor_flat(x_bounds, y_bounds):
+    """min 0.5x + 3xy + xz s.t. -2yx + z <= 1, z in [-1, 1]."""
     flat = FlatModel(sense="min")
-    x = flat.add_variable("x", 0.0, 2.0)
-    y = flat.add_variable("y", 0.0, 1.0)
+    x = flat.add_variable("x", *x_bounds)
+    y = flat.add_variable("y", *y_bounds)
     z = flat.add_variable("z", -1.0, 1.0)
     flat.objective = (Expression().add_linear(0.5, x).add_bilinear(3.0, x, y)
                       .add_bilinear(1.0, x, z))
     flat.add_constraint(Constraint(
         Expression().add_bilinear(-2.0, y, x).add_linear(1.0, z), "<=", 1.0,
         "row"), {"kind": "global"})
-    # y fixed: x*y folds onto x after the linear part; x*z keeps its
-    # column and its four McCormick rows
-    box = ([0.0, 0.75, -1.0], [2.0, 0.75, 1.0])
-    lp = build_lp_relaxation(flat, *box)
-    assert aux_columns(flat, *box) == [(3, "bil", x, z)]
+    return flat
+
+
+def test_product_with_a_fixed_factor_is_a_coefficient():
+    # y fixed by the model: x*y folds onto x after the linear part; x*z
+    # keeps its column and its four McCormick rows
+    flat = fixed_factor_flat((0.0, 2.0), (0.75, 0.75))
+    x, y, z = range(3)
+    lp = build_lp_relaxation(flat, *flat.bounds_arrays())
+    assert aux_columns(flat) == [(3, "bil", x, z)]
     assert lp.A.shape == (5, 4)
     assert list(lp.c) == [0.5 + 3.0 * 0.75, 0.0, 0.0, 1.0]
     assert list(lp.A[0]) == [-2.0 * 0.75, 0.0, 1.0, 0.0]
     point = np.array([1.0, 0.75, 0.5, 0.25])
-    assert violations_at(flat, *box, point) == [0.25]
+    assert violations_at(flat, point) == [0.25]
     # x fixed as well: x*y folds onto x with y's value, x*z onto z
-    box = ([1.5, 0.75, -1.0], [1.5, 0.75, 1.0])
-    lp = build_lp_relaxation(flat, *box)
-    assert aux_columns(flat, *box) == []
+    flat = fixed_factor_flat((1.5, 1.5), (0.75, 0.75))
+    lp = build_lp_relaxation(flat, *flat.bounds_arrays())
+    assert aux_columns(flat) == []
     assert lp.A.shape == (1, 3)
     assert list(lp.c) == [0.5 + 3.0 * 0.75, 0.0, 1.5]
     assert list(lp.A[0]) == [-2.0 * 0.75, 0.0, 1.0]
+
+
+def test_factor_only_the_box_fixes_keeps_its_column_and_rows():
+    # y fixed by a node's box, not by the model: x*y keeps its column
+    # and its four McCormick rows, which are exact at y = 0.75, so both
+    # optima are the folded LP's
+    box = ([0.0, 0.75, -1.0], [2.0, 0.75, 1.0])
+    flat = fixed_factor_flat((0.0, 2.0), (0.0, 1.0))
+    lp = build_lp_relaxation(flat, *box)
+    assert aux_columns(flat) == [(3, "bil", 0, 1), (4, "bil", 0, 2)]
+    assert lp.A.shape == (1 + 4 + 4, 5)
+    assert (lp.lo[3], lp.hi[3]) == (0.0, 1.5)
+    folded = build_lp_relaxation(fixed_factor_flat((0.0, 2.0), (0.75, 0.75)),
+                                 *box)
+    assert folded.A.shape == (5, 4)
+    for sign in (1.0, -1.0):
+        sol = _highs(replace(lp, c=sign * lp.c))
+        ref = _highs(replace(folded, c=sign * folded.c))
+        assert sol.status == ref.status == 0
+        assert sol.fun == pytest.approx(ref.fun, rel=0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("box", [([0.0, 0.5, -1.0], [2.0, 0.75, 1.0]),
+                                 ([0.0, 0.5, -1.0], [2.0, 0.5, 1.0])],
+                         ids=["widened", "moved"])
+def test_box_that_moves_a_factor_the_model_fixes_is_rejected(box):
+    # the fold read y = 0.75 from the model
+    flat = fixed_factor_flat((0.0, 2.0), (0.75, 0.75))
+    with pytest.raises(ValueError, match="moves a factor the model fixes"):
+        build_lp_relaxation(flat, *box)
 
 
 def _mccormick_reference(flat, lo, hi):
@@ -375,9 +407,9 @@ def _mccormick_reference(flat, lo, hi):
 
 
 def test_fold_matches_the_mccormick_reference_under_highs():
-    # a product with a fixed factor is exact either way, so the folded LP
-    # and the one with its aux column and McCormick rows have the same
-    # status and optimum
+    # a product with a factor the model fixes is exact either way, so the
+    # folded LP and the one with its aux column and McCormick rows have
+    # the same status and optimum
     rng = np.random.default_rng(53)
     folded = optimal = 0
     seen = set()
@@ -391,10 +423,10 @@ def test_fold_matches_the_mccormick_reference_under_highs():
         body.add_linear(float(rng.uniform(-1, 1)), int(rng.integers(0, n)))
         flat.add_constraint(Constraint(body, "<=", float(rng.uniform(-1, 1)),
                                        "mix"), {"kind": "global"})
-        lo, hi = (np.array(a) for a in flat.bounds_arrays())
-        for vid in range(n):
+        for v in flat.variables:
             if rng.random() < 0.5:
-                lo[vid] = hi[vid] = rng.uniform(lo[vid], hi[vid])
+                v.lower = v.upper = rng.uniform(v.lower, v.upper)
+        lo, hi = (np.array(a) for a in flat.bounds_arrays())
         lp = build_lp_relaxation(flat, lo, hi)
         ref_lp = _mccormick_reference(flat, lo, hi)
         folded += ref_lp.A.shape[1] - lp.A.shape[1]
@@ -506,7 +538,7 @@ def test_aux_bounds_equal_the_lone_terms_interval():
                           .add_log(1.0, 2))
         lo, hi = flat.bounds_arrays()
         lp = build_lp_relaxation(flat, lo, hi)
-        cols = aux_columns(flat, lo, hi)
+        cols = aux_columns(flat)
         assert len(cols) == len(terms)
         for (col, *_), t in zip(cols, terms):
             assert (lp.lo[col], lp.hi[col]) == interval_eval(t, lo, hi)
@@ -531,7 +563,7 @@ def test_aux_columns_follow_first_appearance_across_kinds():
         {"kind": "global"})
     lo, hi = flat.bounds_arrays()
     lp = build_lp_relaxation(flat, lo, hi)
-    assert aux_columns(flat, lo, hi) == [
+    assert aux_columns(flat) == [
         (2, "log", w, None), (3, "bil", x, w), (4, "pow", x, 0.5)]
     # repeated terms share their column
     assert list(lp.c) == [0.0, 0.0, 2.0, 0.0, 0.0]
@@ -584,11 +616,12 @@ def _ref_pwl(table, lo, up):
     return rows
 
 
-def reference_columns(flat, lo, hi):
-    """{(kind, var, arg): aux column} of the terms the box keeps, in
-    order of first appearance: every term but a product with a fixed
-    factor."""
+def reference_columns(flat):
+    """{(kind, var, arg): aux column} of the terms the model keeps, in
+    order of first appearance: every term but a product with a factor
+    the model fixes."""
     n0 = len(flat.variables)
+    lo, hi = flat.bounds_arrays()
 
     def folds(kind, v, arg):
         return (kind == "bil" and v != arg
@@ -606,7 +639,7 @@ def _reference_relaxation(flat, lo, hi):
     n0 = len(flat.variables)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    order = reference_columns(flat, lo, hi)
+    order = reference_columns(flat)
     n = n0 + len(order)
     aux_lo, aux_hi, env_rows = [], [], []
     for (kind, v, arg), col in order.items():
@@ -629,6 +662,8 @@ def _reference_relaxation(flat, lo, hi):
     n_con = len(flat.constraints)
     A = np.zeros((n_con + len(env_rows), n))
 
+    model_lo, model_hi = flat.bounds_arrays()
+
     def linearize(expr, coefs):
         for cf, v in expr.linear:
             coefs[v] += cf
@@ -636,10 +671,10 @@ def _reference_relaxation(flat, lo, hi):
             col = order.get((kind, v, arg))
             if col is not None:
                 coefs[col] += cf
-            elif lo[arg] == hi[arg]:
-                coefs[v] += cf * lo[arg]
+            elif model_lo[arg] == model_hi[arg]:
+                coefs[v] += cf * model_lo[arg]
             else:
-                coefs[arg] += cf * lo[v]
+                coefs[arg] += cf * model_lo[v]
         return coefs
 
     senses, rhs = [], []
@@ -671,11 +706,10 @@ def assert_same_lp(lp, ref):
     assert lp.obj_const == ref.obj_const
 
 
-def assert_same_columns(flat, lo, hi, compiled):
-    """relaxed_terms keeps the reference's terms in its column order."""
-    keys = relaxed_terms(compiled, lo, hi)
-    assert [compiled.keys[t] for t in keys] == list(
-        reference_columns(flat, lo, hi))
+def assert_same_columns(flat, compiled):
+    """compiled.kept holds the reference's terms in its column order."""
+    assert [compiled.keys[t] for t in compiled.kept] == list(
+        reference_columns(flat))
 
 
 def _random_term_flat(rng):
@@ -727,17 +761,33 @@ def _random_term_flat(rng):
     return flat
 
 
+def _fix_factors(rng, flat):
+    """flat with about a quarter of its variables fixed by the model at
+    a point of their bounds, 0.0 or -0.0 where they hold it a quarter
+    of the time and 0 or 1 for a binary: each product of one folds."""
+    for v in flat.variables:
+        if rng.random() < 0.25:
+            point = float(rng.uniform(v.lower, v.upper))
+            if v.lower <= 0.0 <= v.upper and rng.random() < 0.25:
+                point = float(rng.choice([0.0, -0.0]))
+            v.lower = v.upper = (float(round(point)) if v.kind == BINARY
+                                 else point)
+    return flat
+
+
 def _random_box(rng, flat):
-    """The model's box with each variable kept, cut, fixed, or cut to a
-    degenerate width below the envelopes' 1e-12 threshold. A quarter of
-    the cuts fall on 0.0, -0.0 or a pwl breakpoint, where ties and
-    signed zeros decide bounds and rows."""
+    """The model's box with each variable it does not fix kept, cut,
+    fixed, or cut to a degenerate width below the envelopes' 1e-12
+    threshold. A quarter of the cuts fall on 0.0, -0.0 or a pwl
+    breakpoint, where ties and signed zeros decide bounds and rows."""
     lo, hi = (np.array(a) for a in flat.bounds_arrays())
     anchors = [0.0, -0.0] + [x for e in [flat.objective]
                              + [c.body for c in flat.constraints]
                              for kind, _, _, arg in e.terms if kind == "pwl"
                              for x in arg[0]]
     for v in range(len(lo)):
+        if lo[v] == hi[v]:
+            continue
         roll = rng.random()
         point = float(rng.uniform(lo[v], hi[v]))
         inside = [a for a in anchors if lo[v] <= a <= hi[v]]
@@ -755,22 +805,27 @@ def _random_box(rng, flat):
 
 def test_compiled_relaxation_matches_reference_on_random_models():
     rng = np.random.default_rng(61)
-    seen = {"fold": 0, "both fixed": 0, "square": 0, "degenerate": 0,
-            "pow": 0, "log": 0, "pwl": 0}
+    # folds from the model's bounds; products whose factor only the box
+    # fixes keep their columns and rows
+    seen = {"fold": 0, "both fixed": 0, "box fixed": 0, "square": 0,
+            "degenerate": 0, "pow": 0, "log": 0, "pwl": 0}
     for _ in range(150):
-        flat = _random_term_flat(rng)
+        flat = _fix_factors(rng, _random_term_flat(rng))
         compiled = compile_flat(flat)
+        assert_same_columns(flat, compiled)
+        kept = set(reference_columns(flat))
+        fixed = compiled.lo == compiled.hi
         for _ in range(4):
             lo, hi = _random_box(rng, flat)
             ref = _reference_relaxation(flat, lo, hi)
             assert_same_lp(build_lp_relaxation(flat, lo, hi, compiled), ref)
             assert_same_lp(build_lp_relaxation(flat, lo, hi), ref)
-            assert_same_columns(flat, lo, hi, compiled)
-            kept = set(reference_columns(flat, lo, hi))
             for kind, v, arg in compiled.keys:
                 if kind == "bil" and v != arg and (kind, v, arg) not in kept:
                     seen["fold"] += 1
-                    seen["both fixed"] += lo[v] == hi[v] and lo[arg] == hi[arg]
+                    seen["both fixed"] += fixed[v] and fixed[arg]
+                elif kind == "bil" and v != arg:
+                    seen["box fixed"] += lo[v] == hi[v] or lo[arg] == hi[arg]
                 elif kind == "bil" and v == arg:
                     seen["square"] += 1
                 elif kind != "bil":
@@ -788,7 +843,7 @@ def test_compiled_relaxation_matches_reference_on_shipped_boxes(policy):
     for lo, hi in boxes:
         assert_same_lp(build_lp_relaxation(flat, lo, hi, compiled),
                        _reference_relaxation(flat, lo, hi))
-        assert_same_columns(flat, lo, hi, compiled)
+    assert_same_columns(flat, compiled)
     assert len(boxes) == 81
 
 
