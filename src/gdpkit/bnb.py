@@ -155,7 +155,9 @@ def _midsplit_decision(node: BnbNode, compiled: CompiledModel):
     a kept term or binary, the lowest id among ties."""
     cm = compiled
     keys = cm.kept
-    cand = np.unique(np.concatenate([cm.var[keys], cm.arg[keys], cm.binaries]))
+    # sort, then drop repeats: np.unique would import numpy.ma (~2 MB)
+    cand = np.sort(np.concatenate([cm.var[keys], cm.arg[keys], cm.binaries]))
+    cand = cand[np.diff(cand, prepend=-1) != 0]
     width = node.hi[cand] - node.lo[cand]
     if not (width > MIN_WIDTH).any():
         return None

@@ -12,14 +12,16 @@ at every pivot. A pivot rewrites only the block of T where the pivot
 column's rows and the pivot row's columns are both nonzero; every other
 cell would only subtract zero.
 
-T is the only m x k array a solve keeps. The standard-form matrix A
-is stored as its parts: the scaled, sign-normalized m x n row block
-over the structural columns, and for each slack or artificial column
-the one row it sits in and its sign there. Residuals are formed from
-those parts, and the full matrix is rebuilt only when T is refactored.
-Every LP starts cold: the search builds one LP per node and nothing
-carries over from the parent's solve. Set-up divides each row once,
-by its sign flip times its largest coefficient.
+T is the only 2-D array a solve keeps. The standard-form matrix A is
+kept as its nonzeros, (row, column, value) triplets: the row block's,
+each divided once by its row's sign flip times the row's largest
+magnitude, then one per slack or artificial column. Set-up sums and
+residuals run over them, and A itself is rebuilt only when T is
+refactored. Reduced costs are priced from the costed basic rows alone.
+A refresh corrects the basics through Binv, T's start-basis columns; a
+column no pivot has rewritten is still its row's unit column and is
+not multiplied. Every LP starts cold: nothing carries over from the
+parent node's solve.
 
 The simplex uses numpy alone: a second BLAS library (scipy bundles its
 own OpenBLAS) would run its threads against numpy's on every pivot.
@@ -73,6 +75,9 @@ class LinearProgram:
             if bound.shape != (shape[1],):
                 raise ValueError(f"{name} has shape {bound.shape}, expected "
                                  f"({shape[1]},) for {shape[1]} columns")
+        for name, data in (("c", self.c), ("A", self.A), ("b", self.b)):
+            if not np.isfinite(data).all():
+                raise ValueError(f"{name} holds a non-finite value")
 
 
 @dataclass
@@ -102,14 +107,18 @@ class _Simplex:
             first = lp.senses[int(np.argmax(bad))]
             raise ValueError(f"bad row sense {first!r}")
 
-        # normalize: >= rows negated, so rows are <= or =; row
+        # the row block's nonzeros, read once in row-major order, are
+        # normalized: >= rows negated, so rows are <= or =; row
         # equilibration keeps big-M rows from amplifying pivot noise.
         # One division does both: a / (flip * scale) equals
         # (a * flip) / scale exactly, as flip is +1 or -1
-        scale = np.abs(lp.A).max(axis=1, initial=0.0)
-        scale[scale <= 0.0] = 1.0
+        row, col = np.divmod(np.flatnonzero(lp.A != 0.0), n)
+        val = lp.A[row, col]
+        starts = np.flatnonzero(row != np.concatenate(([-1], row[:-1])))
+        scale = np.ones(m)
+        scale[row[starts]] = np.maximum.reduceat(np.abs(val), starts)
         scale[self.ge] *= -1.0
-        A = lp.A / scale[:, None]
+        val /= scale[row]
         b = lp.b / scale
 
         # start: structurals at lower bound. Each row is one of two kinds:
@@ -117,8 +126,9 @@ class _Simplex:
         # artificial basic. A slack's bound is b minus the row's least
         # value over the box, or its start value where rounding puts
         # that higher.
-        resid = b - A @ lp.lo
-        row_min = np.maximum(A, 0.0) @ lp.lo + np.minimum(A, 0.0) @ lp.hi
+        resid = b - np.bincount(row, val * lp.lo[col], minlength=m)
+        least = np.where(val > 0.0, lp.lo[col], lp.hi[col])
+        row_min = np.bincount(row, val * least, minlength=m)
         slack_up = np.maximum(np.maximum(0.0, b - row_min), resid)
         ineq = ~self.eq
         art = self.eq | (resid < 0.0)
@@ -135,14 +145,14 @@ class _Simplex:
         # rows whose artificial starts from a negative residual are
         # negated, so the starting basis is the identity: a slack is
         # +1 or -1 in its row, an artificial +1
-        A[negative] *= -1.0
+        val[negative[row]] *= -1.0
         b[negative] *= -1.0
-        self.rows = A
-        self.logical_row = np.concatenate([np.flatnonzero(ineq),
-                                           np.flatnonzero(art)])
-        self.logical_val = np.ones(k - n)
-        self.logical_val[:self.first_art - n] = np.where(negative[ineq],
-                                                         -1.0, 1.0)
+        logical_val = np.ones(k - n)
+        logical_val[:self.first_art - n] = np.where(negative[ineq], -1.0, 1.0)
+        self.nz_row = np.concatenate([row, np.flatnonzero(ineq),
+                                      np.flatnonzero(art)])
+        self.nz_col = np.concatenate([col, np.arange(n, k)])
+        self.nz_val = np.concatenate([val, logical_val])
 
         self.lo = np.zeros(k)
         self.hi = np.zeros(k)
@@ -161,43 +171,44 @@ class _Simplex:
         self.where[basis] = IN_BASIS
         self.x[basis] = beta
 
-        # T = Binv A, and Binv is T's start columns at every pivot
+        # T = Binv A, and Binv is T's start columns at every pivot;
+        # a column no pivot has rewritten is still its start column
         self.start_basis = basis.copy()
         self.T = self._standard_matrix()
+        self.rewritten = np.zeros(k, dtype=bool)
         self.n_pivots = 0
 
     # -- pivoting machinery -------------------------------------------
 
     def _standard_matrix(self) -> np.ndarray:
-        """The m x k standard-form matrix A, rebuilt from its parts."""
-        n = self.n_struct
+        """The m x k standard-form matrix A, rebuilt from its nonzeros."""
         A = np.zeros((self.m, self.n_total))
-        A[:, :n] = self.rows
-        A[self.logical_row, np.arange(n, self.n_total)] = self.logical_val
+        A[self.nz_row, self.nz_col] = self.nz_val
         return A
 
     def _residual(self) -> np.ndarray:
         """b - A x, without forming A."""
-        n = self.n_struct
-        logical = np.bincount(self.logical_row,
-                              self.logical_val * self.x[n:],
-                              minlength=self.m)
-        return self.b_std - (self.rows @ self.x[:n] + logical)
+        return self.b_std - np.bincount(
+            self.nz_row, self.nz_val * self.x[self.nz_col], minlength=self.m)
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
-        return cost - cost[self.basis] @ self.T
+        """cost - cost[basis] @ T, over the basic rows with a cost."""
+        cb = cost[self.basis]
+        costed = cb.nonzero()[0]
+        return cost - cb[costed] @ self.T[costed]
 
     def _refresh_basics(self):
         """Pull the incrementally updated basic values back onto the
         rows with two residual corrections through Binv. Binv's columns
-        are T's start-basis columns, all among the logical columns, so
-        the residual is scattered onto those and multiplied by T's
-        logical block in place."""
-        n = self.n_struct
-        z = np.zeros(self.n_total - n)
+        are T's start-basis columns; one that no pivot has rewritten is
+        still the unit column of its row, so its residual is added
+        directly and only the rewritten columns are multiplied."""
+        moved = self.rewritten[self.start_basis]
+        binv = self.T[:, self.start_basis[moved]]
         for _ in range(2):
-            z[self.start_basis - n] = self._residual()
-            self.x[self.basis] += self.T[:, n:] @ z
+            resid = self._residual()
+            self.x[self.basis] += (binv @ resid[moved]
+                                   + np.where(moved, 0.0, resid))
 
     def _refactor_tableau(self):
         """Rebuild T = Binv A from scratch to purge elimination error.
@@ -205,6 +216,7 @@ class _Simplex:
         A = self._standard_matrix()
         # C order, so _eliminate's flat view writes into T itself
         self.T = np.ascontiguousarray(np.linalg.solve(A[:, self.basis], A))
+        self.rewritten[:] = True
 
     def _eliminate(self, r: int, q: int, colq: np.ndarray):
         """Pivot on (r, q); colq is a copy of T's column q."""
@@ -228,7 +240,7 @@ class _Simplex:
         after an optimal return; on any other status it is dropped."""
         m = self.m
         lo, hi, x, where = self.lo, self.hi, self.x, self.where
-        basis = self.basis
+        basis, rewritten = self.basis, self.rewritten
         movable = (hi - lo) > 0.0
         # pricing sign: +1 at lower, -1 at upper, 0 for basic or fixed,
         # so sign * d < 0 marks exactly the attractive columns
@@ -310,6 +322,7 @@ class _Simplex:
                 sign[q] = 0.0
 
                 trow, cols = self._eliminate(r, q, colq)
+                rewritten[cols] = True
                 dq = d[q]
                 d[cols] -= dq * trow[cols]
                 d[q] = 0.0
@@ -371,7 +384,7 @@ class _Simplex:
 
         x = np.clip(self.x[:n], lp.lo, lp.hi)
         viol = self._violation(x)
-        if viol > FEAS_TOL:
+        if not viol <= FEAS_TOL:  # a NaN violation fails too
             return LpSolution("numerical", None, None, viol,
                               self.n_pivots)
         objective = float(lp.c @ x) + lp.obj_const

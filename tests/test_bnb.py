@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +300,79 @@ def test_failed_resplit_nodes_are_counted_as_parked(monkeypatch):
     assert res.status == "unknown"
     assert res.nodes == 3
     assert res.parked == 2
+
+
+def _unique_midsplit_decision(node, cm):
+    """_midsplit_decision with its candidates from np.unique."""
+    keys = cm.kept
+    cand = np.unique(np.concatenate([cm.var[keys], cm.arg[keys],
+                                     cm.binaries]))
+    width = node.hi[cand] - node.lo[cand]
+    if not (width > MIN_WIDTH).any():
+        return None
+    k = int(np.argmax(width))
+    best = int(cand[k])
+    if best in cm.binaries:
+        return ("binary", best)
+    return ("spatial", best, node.lo[best] + 0.5 * width[k])
+
+
+def test_midsplit_candidates_keep_np_unique_order():
+    # the sorted, deduplicated candidates are np.unique's, so ties on
+    # width go to the same variable: the model's own box has many ties
+    rng = np.random.default_rng(83)
+    ties = 0
+    for k in range(120):
+        flat = _fix_factors(rng, _random_term_flat(rng) if k % 2 else
+                            random_instance(int(rng.integers(10**6))))
+        cm = compile_flat(flat)
+        boxes = [tuple(np.array(a) for a in flat.bounds_arrays())]
+        boxes += [_random_box(rng, flat) for _ in range(4)]
+        for lo, hi in boxes:
+            node = BnbNode(lo, hi, -np.inf, 0)
+            want = _unique_midsplit_decision(node, cm)
+            _assert_same_decision(bnbmod._midsplit_decision(node, cm), want)
+            if want is not None:
+                width = hi - lo
+                ties += np.count_nonzero(width == width[want[1]]) > 1
+    assert ties > 0
+
+
+def test_failed_lp_loads_no_numpy_ma():
+    # np.unique imports numpy.ma on first use; the re-split after a
+    # failed LP must not pay that import (about 2 MB resident)
+    script = (
+        "import sys\n"
+        "import gdpkit.bnb as bnb\n"
+        "from gdpkit.lp import LpSolution\n"
+        "from gdpkit.model import Constraint, Expression\n"
+        "from gdpkit.transforms import FlatModel\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "flat = FlatModel(sense='min')\n"
+        "x = flat.add_variable('x', 0.0, 1.0)\n"
+        "y = flat.add_variable('y', 0.0, 1.0)\n"
+        "flat.objective = Expression().add_bilinear(-1.0, x, y)\n"
+        "flat.add_constraint(Constraint(Expression().add_linear(1.0, x)\n"
+        "    .add_linear(1.0, y), '<=', 1.0, 'cap'), {'kind': 'global'})\n"
+        "real, calls = bnb.lp_solve, []\n"
+        "def flaky(lp, deadline=None):\n"
+        "    calls.append(lp)\n"
+        "    if len(calls) == 1:\n"
+        "        return LpSolution('numerical', None, None, 1.0, 0)\n"
+        "    return real(lp, deadline)\n"
+        "bnb.lp_solve = flaky\n"
+        "res = bnb.solve_global(flat, gap=1e-4)\n"
+        "assert res.status == 'optimal', res.status\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(bnbmod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # numpy before 2.0 imports numpy.ma with numpy itself
+    before, after = proc.stdout.split()
+    assert after == before
 
 
 def test_time_limit_inside_an_lp_stops_the_search(monkeypatch):

@@ -123,6 +123,24 @@ def test_unknown_sense_rejected():
         lp_solve(make_lp([1.0], [[1.0]], ["<"], [1.0], [0.0], [10.0]))
 
 
+@pytest.mark.parametrize("name, c, A, b", [
+    ("A", [1.0, 1.0], [[1.0, np.nan]], [1.0]),
+    ("b", [1.0, 1.0], [[1.0, 1.0]], [np.nan]),
+    ("A", [1.0, 1.0], [[1.0, np.inf]], [1.0]),
+    ("c", [np.nan, 1.0], [[1.0, 1.0]], [1.0]),
+])
+def test_non_finite_data_rejected(name, c, A, b):
+    # each of these was once solved as optimal
+    with pytest.raises(ValueError, match=f"^{name} holds a non-finite"):
+        make_lp(c, A, [">="], b, [0.0, 0.0], [2.0, 2.0])
+
+
+def test_nan_violation_is_not_optimal(monkeypatch):
+    monkeypatch.setattr(_Simplex, "_violation", lambda self, x: np.nan)
+    sol = lp_solve(make_lp([1.0], [[1.0]], [">="], [1.0], [0.0], [10.0]))
+    assert sol.status == "numerical"
+
+
 def test_objective_constant_carried():
     sol = lp_solve(make_lp([1.0], [[1.0]], [">="], [2.0], [0.0], [5.0],
                            obj_const=7.0))
@@ -390,15 +408,20 @@ def test_frequent_refactors_keep_the_reference_answers(monkeypatch):
     assert len(refactors) > 100
 
 
-def test_start_basis_is_the_identity():
-    # the start rows are signed so that the starting basis is I, which
-    # makes T = A at the start and T[:, start_basis] Binv after
+def _all_202_lps():
+    """40 random LPs and the 162 shipped-network LPs."""
     rng = np.random.default_rng(101)
     lps = [_random_lp(rng) for _ in range(40)]
     lps += (_shipped_network_lps(ApproxPolicy(method="quad"))
             + _shipped_network_lps(ApproxPolicy(method="pwl", n_segments=21)))
     assert len(lps) == 202
-    for lp in lps:
+    return lps
+
+
+def test_start_basis_is_the_identity():
+    # the start rows are signed so that the starting basis is I, which
+    # makes T = A at the start and T[:, start_basis] Binv after
+    for lp in _all_202_lps():
         sx = _Simplex(lp)
         A = sx._standard_matrix()
         assert np.array_equal(A[:, sx.start_basis], np.eye(sx.m))
@@ -409,21 +432,16 @@ def test_start_basis_is_the_identity():
 
 
 def test_tableau_is_the_only_m_by_k_array():
-    # the standard matrix is kept as its m x n row block and one
-    # (row, sign) per logical column; the residual built from those
-    # parts matches the rebuilt matrix, at the start and at the end
-    rng = np.random.default_rng(101)
-    lps = [_random_lp(rng) for _ in range(40)]
-    lps += (_shipped_network_lps(ApproxPolicy(method="quad"))
-            + _shipped_network_lps(ApproxPolicy(method="pwl", n_segments=21)))
-    assert len(lps) == 202
-    for lp in lps:
+    # the standard matrix is kept as its nonzeros, (row, col, value)
+    # triplets; the residual built from them matches the rebuilt matrix,
+    # at the start and at the end
+    for lp in _all_202_lps():
         sx = _Simplex(lp)
-        big = sorted(name for name, value in vars(sx).items()
-                     if isinstance(value, np.ndarray) and value.ndim == 2
-                     and value.size >= sx.m * sx.n_total)
-        assert big == ["T"]
-        assert sx.rows.shape == (sx.m, sx.n_struct)
+        two_d = sorted(name for name, value in vars(sx).items()
+                       if isinstance(value, np.ndarray) and value.ndim > 1)
+        assert two_d == ["T"]
+        assert sx.nz_row.shape == sx.nz_col.shape == sx.nz_val.shape
+        assert np.all(sx.nz_val != 0.0)
         for _ in range(2):
             expected = sx.b_std - sx._standard_matrix() @ sx.x
             np.testing.assert_allclose(sx._residual(), expected,
@@ -561,6 +579,85 @@ def test_rows_are_scaled_as_negate_then_divide():
         A[negative] *= -1.0
         b[negative] *= -1.0
         sx = _Simplex(lp)
-        for got, want in ((sx.rows, A), (sx.b_std, b)):
+        # every nonzero cell of the scaled block is a triplet, to the bit
+        block = sx.nz_col < sx.n_struct
+        row, col, val = (sx.nz_row[block], sx.nz_col[block],
+                         sx.nz_val[block])
+        assert np.array_equal(np.sort(row * sx.n_struct + col),
+                              np.flatnonzero(A))
+        for got, want in ((val, A[row, col]), (sx.b_std, b)):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_reduced_costs_from_costed_basics_match_the_full_product(
+        monkeypatch):
+    # pricing multiplies only the basic rows with a cost: in phase 1 the
+    # artificials, in phase 2 the costed structurals
+    reduced_costs = _Simplex._reduced_costs
+    calls = {"phase 1": 0, "phase 2": 0}
+
+    def checked(self, cost):
+        got = reduced_costs(self, cost)
+        want = cost - cost[self.basis] @ self.T
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        calls["phase 1" if cost[self.first_art:].any() else "phase 2"] += 1
+        return got
+
+    monkeypatch.setattr(_Simplex, "_reduced_costs", checked)
+    for lp in _all_202_lps():
+        lp_solve(lp)
+    assert calls["phase 1"] > 0 and calls["phase 2"] > 0
+
+
+def _full_refresh(sx):
+    """The basic values after two residual corrections through all of
+    T's logical block, the residual from the rebuilt matrix."""
+    n = sx.n_struct
+    x = sx.x.copy()
+    z = np.zeros(sx.n_total - n)
+    for _ in range(2):
+        z[sx.start_basis - n] = sx.b_std - sx._standard_matrix() @ x
+        x[sx.basis] += sx.T[:, n:] @ z
+    return x
+
+
+@pytest.mark.parametrize("case", ["pivots", "refactors", "full rows"])
+def test_refresh_over_rewritten_columns_matches_the_full_product(
+        monkeypatch, case):
+    # a start column no pivot has marked rewritten is still the unit
+    # column of its row, so the refresh may add its residual directly;
+    # a refactor marks every column, and so does the reference pivot
+    # that rewrites whole rows
+    refactored = []
+    if case == "refactors":
+        monkeypatch.setattr(lpmod, "REFACTOR_EVERY", 8)
+        monkeypatch.setattr(lpmod, "REFRESH_EVERY", 4)
+        refactor = _Simplex._refactor_tableau
+
+        def recording(self):
+            refactor(self)
+            refactored.append(self)
+
+        monkeypatch.setattr(_Simplex, "_refactor_tableau", recording)
+    if case == "full rows":
+        monkeypatch.setattr(_Simplex, "_eliminate", _full_row_eliminate)
+    refresh = _Simplex._refresh_basics
+    mixed, after_refactor = [], []
+
+    def checked(self):
+        rows = np.flatnonzero(~self.rewritten[self.start_basis])
+        fresh = self.start_basis[rows]
+        assert np.array_equal(self.T[:, fresh], np.eye(self.m)[:, rows])
+        want = _full_refresh(self)
+        refresh(self)
+        np.testing.assert_allclose(self.x, want, rtol=0.0, atol=1e-12)
+        mixed.append(0 < fresh.size < self.m)
+        after_refactor.append(any(sx is self for sx in refactored))
+
+    monkeypatch.setattr(_Simplex, "_refresh_basics", checked)
+    for lp in _all_202_lps():
+        lp_solve(lp)
+    assert len(mixed) > 200
+    assert any(mixed) == (case != "full rows")
+    assert any(after_refactor) == (case == "refactors")
