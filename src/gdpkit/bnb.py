@@ -100,7 +100,7 @@ def feasibility_check(point, flat: FlatModel, tol: float = FEAS_TOL,
     value = np.zeros(cm.n_model + len(cm.keys))
     value[:cm.n_model] = x
     value[cm.n_model + cm.in_rows] = term_values(cm, x, cm.in_rows)
-    n_con = len(cm.senses)
+    n_con = cm.rhs.size
     body = np.bincount(np.concatenate([np.arange(n_con), cm.row]),
                        np.concatenate([cm.constant,
                                        cm.coef * value[cm.key]]),

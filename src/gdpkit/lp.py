@@ -1,7 +1,11 @@
 """Dense bounded-variable primal simplex.
 
-All structural variables carry finite bounds (relaxations guarantee
-this), so every auxiliary column can be boxed as well and unboundedness
+A LinearProgram (min c x + obj_const over A x senses b, lo <= x <= hi)
+is normalized, checked and decoded once, by its constructor: arrays
+throughout, the masks ge and eq, A's nonzeros in row-major order
+(nz_row, nz_col, nz_val), and ValueError for any non-finite number.
+The simplex reads the masks and nonzeros, never A or senses. With every
+bound finite, each auxiliary column is boxed too and unboundedness
 cannot occur. Two phases: artificial columns drive the start feasible,
 then the true costs take over from the basis phase 1 ends with, each
 artificial frozen at its phase-1 value. Dantzig pricing by default,
@@ -45,37 +49,44 @@ REFRESH_EVERY = 128
 REFACTOR_EVERY = 512
 MOVEMENT_BUDGET = 1e5
 
-AT_LOWER, AT_UPPER, IN_BASIS = 0, 1, 2
-
 
 @dataclass
 class LinearProgram:
     c: np.ndarray
     A: np.ndarray
-    senses: list[str]
+    senses: np.ndarray
     b: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     obj_const: float = 0.0
 
     def __post_init__(self):
-        if len(self.senses) != len(self.b):
-            raise ValueError(f"{len(self.senses)} row senses for "
-                             f"{len(self.b)} rows")
+        self.senses = np.asarray(self.senses, dtype=str)
         self.c = np.asarray(self.c, dtype=float)
         self.A = np.asarray(self.A, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
         self.lo = np.asarray(self.lo, dtype=float)
         self.hi = np.asarray(self.hi, dtype=float)
-        shape = (len(self.b), len(self.c))
+        shape = m, n = (len(self.b), len(self.c))
+        if self.senses.size != m:
+            raise ValueError(f"{self.senses.size} row senses for {m} rows")
         if self.A.shape != shape:
             raise ValueError(f"A has shape {self.A.shape}, expected {shape} "
-                             f"for {shape[0]} rows and {shape[1]} columns")
+                             f"for {m} rows and {n} columns")
         for name, bound in (("lo", self.lo), ("hi", self.hi)):
-            if bound.shape != (shape[1],):
+            if bound.shape != (n,):
                 raise ValueError(f"{name} has shape {bound.shape}, expected "
-                                 f"({shape[1]},) for {shape[1]} columns")
-        for name, data in (("c", self.c), ("A", self.A), ("b", self.b)):
+                                 f"({n},) for {n} columns")
+        self.ge, self.eq = self.senses == ">=", self.senses == "="
+        bad = ~(self.ge | self.eq | (self.senses == "<="))
+        if bad.any():
+            raise ValueError(f"bad row sense {str(self.senses[bad][0])!r}")
+        # a NaN or an inf is nonzero, so checking the nonzeros checks A
+        self.nz_row, self.nz_col = np.divmod(np.flatnonzero(self.A != 0.0), n)
+        self.nz_val = self.A[self.nz_row, self.nz_col]
+        for name, data in (("c", self.c), ("A", self.nz_val), ("b", self.b),
+                           ("lo", self.lo), ("hi", self.hi),
+                           ("obj_const", self.obj_const)):
             if not np.isfinite(data).all():
                 raise ValueError(f"{name} holds a non-finite value")
 
@@ -94,31 +105,20 @@ class _Simplex:
     def __init__(self, lp: LinearProgram, deadline: float | None = None):
         self.lp = lp
         self.deadline = math.inf if deadline is None else deadline
-        m, n = lp.A.shape
+        m, n = lp.b.size, lp.c.size
         self.n_struct = n
         self.m = m
 
-        # the senses are decoded once; _violation reads the same masks
-        senses = np.asarray(lp.senses, dtype=str)
-        self.ge = senses == ">="
-        self.eq = senses == "="
-        bad = ~(self.ge | self.eq | (senses == "<="))
-        if bad.any():
-            first = lp.senses[int(np.argmax(bad))]
-            raise ValueError(f"bad row sense {first!r}")
-
-        # the row block's nonzeros, read once in row-major order, are
-        # normalized: >= rows negated, so rows are <= or =; row
-        # equilibration keeps big-M rows from amplifying pivot noise.
-        # One division does both: a / (flip * scale) equals
-        # (a * flip) / scale exactly, as flip is +1 or -1
-        row, col = np.divmod(np.flatnonzero(lp.A != 0.0), n)
-        val = lp.A[row, col]
+        # the row block's nonzeros are normalized: >= rows negated, so
+        # rows are <= or =; row equilibration keeps big-M rows from
+        # amplifying pivot noise. One division does both: a / (flip *
+        # scale) equals (a * flip) / scale exactly, as flip is +1 or -1
+        row, col = lp.nz_row, lp.nz_col
         starts = np.flatnonzero(row != np.concatenate(([-1], row[:-1])))
         scale = np.ones(m)
-        scale[row[starts]] = np.maximum.reduceat(np.abs(val), starts)
-        scale[self.ge] *= -1.0
-        val /= scale[row]
+        scale[row[starts]] = np.maximum.reduceat(np.abs(lp.nz_val), starts)
+        scale[lp.ge] *= -1.0
+        val = lp.nz_val / scale[row]
         b = lp.b / scale
 
         # start: structurals at lower bound. Each row is one of two kinds:
@@ -130,8 +130,8 @@ class _Simplex:
         least = np.where(val > 0.0, lp.lo[col], lp.hi[col])
         row_min = np.bincount(row, val * least, minlength=m)
         slack_up = np.maximum(np.maximum(0.0, b - row_min), resid)
-        ineq = ~self.eq
-        art = self.eq | (resid < 0.0)
+        ineq = ~lp.eq
+        art = lp.eq | (resid < 0.0)
         negative = resid < 0.0
 
         self.first_art = n + int(ineq.sum())
@@ -166,10 +166,12 @@ class _Simplex:
 
         self.x = np.zeros(k)
         self.x[:n] = lp.lo
-        self.where = np.full(k, AT_LOWER, dtype=np.int8)
         self.basis = basis
-        self.where[basis] = IN_BASIS
         self.x[basis] = beta
+        # a column's state, kept across both phases, is its pricing sign:
+        # +1 at lower, -1 at upper, 0 if basic or fixed; sign * d < 0 attracts
+        self.sign = np.where(self.hi > self.lo, 1.0, 0.0)
+        self.sign[basis] = 0.0
 
         # T = Binv A, and Binv is T's start columns at every pivot;
         # a column no pivot has rewritten is still its start column
@@ -239,13 +241,9 @@ class _Simplex:
         writes xb back to x before each refresh, so x is whole again
         after an optimal return; on any other status it is dropped."""
         m = self.m
-        lo, hi, x, where = self.lo, self.hi, self.x, self.where
+        lo, hi, x, sign = self.lo, self.hi, self.x, self.sign
         basis, rewritten = self.basis, self.rewritten
         movable = (hi - lo) > 0.0
-        # pricing sign: +1 at lower, -1 at upper, 0 for basic or fixed,
-        # so sign * d < 0 marks exactly the attractive columns
-        sign = np.where(where == AT_LOWER, 1.0, -1.0)
-        sign[(where == IN_BASIS) | ~movable] = 0.0
         xb, blo, bhi = x[basis], lo[basis], hi[basis]
         num = np.empty(m)
         ratios = np.empty(m)
@@ -295,7 +293,6 @@ class _Simplex:
             if t_flip <= t_rows:
                 t = t_flip
                 x[q] = hi[q] if direction > 0.0 else lo[q]
-                where[q] = AT_UPPER if direction > 0.0 else AT_LOWER
                 sign[q] = -direction
                 xb -= deltas * t
             else:
@@ -312,13 +309,11 @@ class _Simplex:
                 leaving = int(basis[r])
                 xb -= deltas * t
                 to_lower = deltas[r] > 0.0
-                where[leaving] = AT_LOWER if to_lower else AT_UPPER
                 x[leaving] = lo[leaving] if to_lower else hi[leaving]
                 sign[leaving] = (1.0 if to_lower else -1.0) * movable[leaving]
                 xb[r] = x[q] + direction * t
                 blo[r], bhi[r] = lo[q], hi[q]
                 basis[r] = q
-                where[q] = IN_BASIS
                 sign[q] = 0.0
 
                 trow, cols = self._eliminate(r, q, colq)
@@ -375,6 +370,7 @@ class _Simplex:
             # its phase-1 value (0 if nonbasic, or the LP was infeasible)
             art = slice(self.first_art, self.n_total)
             self.hi[art] = np.maximum(self.x[art], 0.0)
+            self.sign[self.hi <= self.lo] = 0.0
 
         cost2 = np.zeros(self.n_total)
         cost2[:n] = lp.c
@@ -392,9 +388,11 @@ class _Simplex:
                           self.n_pivots)
 
     def _violation(self, x: np.ndarray) -> float:
-        excess = self.lp.A @ x - self.lp.b
-        excess = np.where(self.eq, np.abs(excess),
-                          np.where(self.ge, -excess, excess))
+        lp = self.lp
+        excess = np.bincount(lp.nz_row, lp.nz_val * x[lp.nz_col],
+                             minlength=self.m) - lp.b
+        excess = np.where(lp.eq, np.abs(excess),
+                          np.where(lp.ge, -excess, excess))
         return float(excess.max(initial=0.0))
 
 
@@ -410,6 +408,4 @@ def lp_solve(lp: LinearProgram, deadline: float | None = None) -> LpSolution:
     if np.any(lp.lo > lp.hi + 1e-12):
         return LpSolution("infeasible", None, None,
                           float(np.max(lp.lo - lp.hi)), 0)
-    if not (np.all(np.isfinite(lp.lo)) and np.all(np.isfinite(lp.hi))):
-        raise ValueError("lp_solve requires finite variable bounds")
     return _Simplex(lp, deadline).solve()

@@ -266,7 +266,14 @@ class GdpModel:
             unknown = [vid for vid in expr.variables() if not 0 <= vid < n]
             for vid in unknown:
                 add(f"unknown variable: id {vid} referenced by {where}")
-            for kind, _, vid, arg in expr.terms:
+            if not math.isfinite(expr.constant):
+                add(f"non-finite constant in {where}")
+            for cf, _ in expr.linear:
+                if not math.isfinite(cf):
+                    add(f"non-finite coefficient on a lin term in {where}")
+            for kind, cf, vid, arg in expr.terms:
+                if not math.isfinite(cf):
+                    add(f"non-finite coefficient on a {kind} term in {where}")
                 table_problem = kind == "pwl" and pwl_table_problem(arg)
                 if kind == "pow" and not 0.0 < arg < 1.0:
                     add(f"power exponent: {arg} outside (0, 1) in {where}")
@@ -323,13 +330,15 @@ class GdpModel:
 
 def pwl_table_problem(table) -> str | None:
     """What makes a (breakpoints, values) table unfit for a pwl term, or
-    None: it needs 2 or more strictly increasing breakpoints, as many
-    values, and slopes that do not increase (a concave table)."""
+    None: it needs 2 or more strictly increasing finite breakpoints, as
+    many finite values, and slopes that do not increase (a concave table)."""
     xs, ys = table
     if len(xs) < 2:
         return f"needs at least 2 breakpoints, got {len(xs)}"
     if len(xs) != len(ys):
         return f"{len(xs)} breakpoints but {len(ys)} values"
+    if not all(math.isfinite(v) for v in (*xs, *ys)):
+        return "breakpoints and values must be finite"
     if not all(a < b for a, b in zip(xs, xs[1:])):
         return "breakpoints must strictly increase"
     slopes = [(ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])

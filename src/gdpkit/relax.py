@@ -13,8 +13,8 @@ and what the tests certify.
 
 A flat model is compiled once per solve (compile_flat): its distinct
 terms in order of first appearance, each row's linear and term entries
-as index and coefficient arrays in Expression order, the senses, the
-right-hand sides, the binaries and each pwl table's segment lines.
+as index and coefficient arrays in Expression order, the sense masks,
+the right-hand sides, the binaries and each pwl table's segment lines.
 The model's bounds fix the LP's columns there: a product with a factor
 the model fixes (lower == upper) is a coefficient on the other factor,
 with no column and no rows, and kept maps the aux columns to their
@@ -44,15 +44,12 @@ MIN_MOVE = 1e-3  # the least share of its width a tightened bound removes
 
 
 # Every envelope row reads w + ax*x (+ ay*y) >= or <= rhs, for the aux
-# column w of one term over the node's box, its >= rows first. The
-# *_lines functions give ax, ay and rhs, the concave and pwl ones the
-# senses too; build_lp_relaxation is their one caller. The McCormick and
-# square ones take arrays, one entry per term; the concave and pwl ones
-# take one term's box, wider than 1e-12 and inside the term's domain
-# (term_interval has checked it).
-
-_MCCORMICK_SENSES = (SENSE_GE, SENSE_GE, SENSE_LE, SENSE_LE)
-_SQUARE_SENSES = (SENSE_GE, SENSE_GE, SENSE_LE)
+# column w of one term over the node's box. Each family leads with its
+# >= rows: 2 for a product or a square, 1 for a pow, log or pwl term.
+# The *_lines functions give ax, ay and rhs; build_lp_relaxation is
+# their one caller. The McCormick and square ones take arrays, one entry
+# per term; the concave and pwl ones take one term's box, wider than
+# 1e-12 and inside the term's domain (term_interval has checked it).
 
 
 def _mccormick_lines(xl, xu, yl, yu):
@@ -89,7 +86,7 @@ def _concave_lines(kind: str, lo: float, up: float, exponent):
         g = fprime(t)
         ax.append(-g)
         rhs.append(f(t) - g * t)
-    return ax, rhs, (SENSE_GE,) + (SENSE_LE,) * N_TANGENTS
+    return ax, rhs
 
 
 def _segment_lines(table):
@@ -112,7 +109,7 @@ def _pwl_lines(table, segments, lo: float, up: float):
     meets = (xs[:-1] < up) & (xs[1:] > lo)
     ax = np.concatenate([[-slope], -g[meets]])
     rhs = np.concatenate([[f_lo - slope * lo], c[meets]])
-    return ax, rhs, (SENSE_GE,) + (SENSE_LE,) * (ax.size - 1)
+    return ax, rhs
 
 
 # -- whole-model relaxation --------------------------------------------
@@ -151,7 +148,6 @@ class CompiledModel:
     row: np.ndarray
     key: np.ndarray
     coef: np.ndarray
-    senses: list[str]
     eq: np.ndarray
     ge: np.ndarray
     rhs: np.ndarray
@@ -215,7 +211,7 @@ def compile_flat(flat: FlatModel) -> CompiledModel:
         segments={t: _segment_lines(keys[t][2]) for t in curved
                   if keys[t][0] == "pwl"},
         in_rows=in_rows, row=row, key=key, coef=coef,
-        senses=senses.tolist(), eq=senses == SENSE_EQ, ge=senses == SENSE_GE,
+        eq=senses == SENSE_EQ, ge=senses == SENSE_GE,
         rhs=rhs, constant=constant, b=rhs - constant,
         binaries=np.array([v.id for v in flat.variables if v.kind == BINARY],
                           dtype=np.intp),
@@ -288,7 +284,7 @@ def tighten(cm: CompiledModel, lo, hi):
     hi = np.array(hi, dtype=float)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("bound propagation needs finite bounds")
-    n0, m = cm.n_model, len(cm.senses)
+    n0, m = cm.n_model, cm.b.size
     lin = cm.key < n0  # Expression.add_linear keeps no zero coefficient
     # a <= or = row bounds a*x from above, a >= or = row from below; a
     # bound from above is an upper bound on x where a > 0, one from
@@ -356,7 +352,7 @@ def build_lp_relaxation(flat: FlatModel, lo, hi,
     # aux bounds and each kept term's envelope rows, in column order
     aux_lo, aux_hi = term_bounds(cm, lo, hi, cm.kept)
     n_lines = np.zeros(cm.kept.size, dtype=np.intp)
-    groups = []  # (aux positions, ax, ay or None, rhs, senses): lines x terms
+    groups = []  # (aux positions, ax, ay or None, rhs, >= rows): lines x terms
     for mask, count in ((cm.product, 4), (cm.square, 3)):
         pos = mask[cm.kept].nonzero()[0]
         keys = cm.kept[pos]
@@ -365,37 +361,35 @@ def build_lp_relaxation(flat: FlatModel, lo, hi,
         if count == 4:
             ax, ay, rhs = _mccormick_lines(xl, xu, lo[cm.arg[keys]],
                                            hi[cm.arg[keys]])
-            groups.append((pos, ax, ay, rhs, _MCCORMICK_SENSES))
         else:
-            ax, rhs = _square_lines(xl, xu)
-            groups.append((pos, ax, None, rhs, _SQUARE_SENSES))
+            (ax, rhs), ay = _square_lines(xl, xu), None
+        groups.append((pos, ax, ay, rhs, 2))
     for t in cm.curved:
         kind, v, arg = cm.keys[t]
         pos = cm.kept.searchsorted(t)
         if hi[v] - lo[v] > 1e-12:  # else the aux bounds pin the value
-            ax, rhs, senses = (
+            ax, rhs = (
                 _pwl_lines(arg, cm.segments[t], float(lo[v]), float(hi[v]))
                 if kind == "pwl" else
                 _concave_lines(kind, float(lo[v]), float(hi[v]), arg))
-            n_lines[pos] = len(senses)
+            n_lines[pos] = len(ax)
             groups.append((np.array([pos]), np.asarray(ax)[:, None], None,
-                           np.asarray(rhs)[:, None], senses))
+                           np.asarray(rhs)[:, None], 1))
 
-    n_con = len(cm.senses)
+    n_con = cm.b.size
     first_line = n_con + np.cumsum(n_lines) - n_lines
     m = n_con + int(n_lines.sum())
-    b = np.empty(m)
-    b[:n_con] = cm.b
-    ge = np.zeros(m, dtype=bool)
+    b = np.concatenate([cm.b, np.empty(m - n_con)])
+    ge = np.concatenate([cm.ge, np.zeros(m - n_con, dtype=bool)])
 
     # every cell of A as a flat index and its value, the model rows'
     # entries first; bincount adds them in that order onto +0.0
     cells = [cm.cells]
     values = [cm.values]
-    for pos, ax, ay, rhs, senses in groups:
-        line = first_line[pos] + np.arange(len(senses))[:, None]
+    for pos, ax, ay, rhs, n_ge in groups:
+        line = first_line[pos] + np.arange(len(ax))[:, None]
         b[line] = rhs
-        ge[line[:senses.count(SENSE_GE)]] = True  # every family lists >= first
+        ge[line[:n_ge]] = True
         cells += [line * n + (n0 + pos), line * n + cm.var[cm.kept[pos]]]
         values += [np.ones(line.shape), ax]
         if ay is not None:
@@ -404,11 +398,11 @@ def build_lp_relaxation(flat: FlatModel, lo, hi,
     A = np.bincount(np.concatenate([c.ravel() for c in cells]),
                     np.concatenate([v.ravel() for v in values]),
                     minlength=m * n).reshape(m, n)
+    senses = np.where(ge, SENSE_GE, SENSE_LE)
+    senses[:n_con][cm.eq] = SENSE_EQ
 
     return LinearProgram(
-        c=cm.c, A=A,
-        senses=cm.senses + np.where(ge[n_con:], SENSE_GE, SENSE_LE).tolist(),
-        b=b,
+        c=cm.c, A=A, senses=senses, b=b,
         lo=np.concatenate([lo, aux_lo]),
         hi=np.concatenate([hi, aux_hi]),
         obj_const=flat.objective.constant,

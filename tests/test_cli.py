@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -267,6 +270,45 @@ def test_malformed_model_names_field(tmp_path, capsys, edit, field):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("gdpkit: error:")
     assert field in err[0]
+
+
+def _pwl(breakpoints, values):
+    return {"kind": "pwl", "coef": 1.0, "var": 0, "breakpoints": breakpoints,
+            "values": values}
+
+
+@pytest.mark.parametrize("edit, site", [
+    (lambda m: m["objective"].update(constant=math.nan),
+     "non-finite constant in objective"),
+    (lambda m: _terms(m).append({"kind": "lin", "coef": math.nan, "var": 0}),
+     "non-finite coefficient on a lin term in objective"),
+    (lambda m: _terms(m)[0].update(coef=math.inf),
+     "non-finite coefficient on a bil term in objective"),
+    (lambda m: m["globals"].append(
+        {"label": "cap", "sense": "<=", "rhs": 1.0,
+         "body": {"constant": 0.0,
+                  "terms": [{"kind": "lin", "coef": -math.inf, "var": 1}]}}),
+     "non-finite coefficient on a lin term in global cap"),
+    (lambda m: _terms(m).append(_pwl([0.0, 1.0], [0.0, math.nan])),
+     "objective: term 1: breakpoints and values must be finite"),
+    (lambda m: _terms(m).append(_pwl([0.0, math.inf], [0.0, 1.0])),
+     "objective: term 1: breakpoints and values must be finite"),
+], ids=["constant-nan", "lin-nan", "bil-inf", "global-lin-inf",
+        "pwl-value-nan", "pwl-breakpoint-inf"])
+def test_non_finite_model_number_is_usage_error(tmp_path, edit, site):
+    # Python's json reads NaN and Infinity, so a model file can hold them
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_model(edit)))
+    src = str(REPO / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "gdpkit.cli", "--model",
+                           str(bad)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("gdpkit: error:"), proc.stderr
+    assert site in err[0]
+    assert "Traceback" not in proc.stderr
 
 
 def infeasible_model_file(tmp_path) -> Path:

@@ -119,8 +119,9 @@ def test_bound_length_must_match_columns(name):
 
 
 def test_unknown_sense_rejected():
-    with pytest.raises(ValueError, match="bad row sense '<'"):
-        lp_solve(make_lp([1.0], [[1.0]], ["<"], [1.0], [0.0], [10.0]))
+    # when the LP is built, before any solve
+    with pytest.raises(ValueError, match="^bad row sense '<'$"):
+        make_lp([1.0], [[1.0]], ["<"], [1.0], [0.0], [10.0])
 
 
 @pytest.mark.parametrize("name, c, A, b", [
@@ -128,11 +129,42 @@ def test_unknown_sense_rejected():
     ("b", [1.0, 1.0], [[1.0, 1.0]], [np.nan]),
     ("A", [1.0, 1.0], [[1.0, np.inf]], [1.0]),
     ("c", [np.nan, 1.0], [[1.0, 1.0]], [1.0]),
+    ("A", [1.0, 1.0], [[0.0, np.nan]], [1.0]),
 ])
 def test_non_finite_data_rejected(name, c, A, b):
-    # each of these was once solved as optimal
+    # each of these but the last was once solved as optimal; the last
+    # is a NaN in an otherwise-zero row, found among A's nonzeros
     with pytest.raises(ValueError, match=f"^{name} holds a non-finite"):
         make_lp(c, A, [">="], b, [0.0, 0.0], [2.0, 2.0])
+
+
+@pytest.mark.parametrize("name, value", [
+    ("lo", -np.inf), ("hi", np.inf), ("obj_const", np.nan)])
+def test_non_finite_bound_or_constant_rejected(name, value):
+    args = dict(c=[1.0], A=[[1.0]], senses=[">="], b=[1.0], lo=[0.0],
+                hi=[2.0], obj_const=0.0)
+    args[name] = value if name == "obj_const" else [value]
+    with pytest.raises(ValueError, match=f"^{name} holds a non-finite"):
+        LinearProgram(**args)
+
+
+def test_lp_record_holds_its_masks_and_nonzeros():
+    # the constructor decodes each LP once: senses as an array, the
+    # masks that match it, and A's nonzeros in row-major order
+    lps = [_random_lp(np.random.default_rng(101)) for _ in range(40)]
+    lps += _shipped_network_lps(ApproxPolicy(method="quad"))
+    lps.append(make_lp([1.0, 1.0], [[0.0, 0.0], [0.0, -2.0]],
+                       ["=", ">="], [0.0, -1.0], [0.0, 0.0], [1.0, 1.0]))
+    for lp in lps:
+        assert isinstance(lp.senses, np.ndarray)
+        assert lp.senses.shape == lp.b.shape
+        assert np.array_equal(lp.ge, lp.senses == ">=")
+        assert np.array_equal(lp.eq, lp.senses == "=")
+        assert set(lp.senses[~(lp.ge | lp.eq)]) <= {"<="}
+        row, col = np.nonzero(lp.A)
+        assert np.array_equal(lp.nz_row, row)
+        assert np.array_equal(lp.nz_col, col)
+        assert np.array_equal(lp.nz_val, lp.A[row, col])
 
 
 def test_nan_violation_is_not_optimal(monkeypatch):
@@ -226,11 +258,8 @@ def test_no_improving_reduced_cost_at_termination():
         B = A[:, sx.basis]
         y = np.linalg.solve(B.T, cost[sx.basis])
         d = cost - A.T @ y
-        at_lower = sx.where == 0
-        at_upper = sx.where == 1
-        movable = (sx.hi - sx.lo) > 0
-        assert not np.any(at_lower & movable & (d < -1e-9))
-        assert not np.any(at_upper & movable & (d > 1e-9))
+        assert not np.any((sx.sign > 0) & (d < -1e-9))
+        assert not np.any((sx.sign < 0) & (d > 1e-9))
 
 
 def _basis_solve(sx):
@@ -418,6 +447,28 @@ def _all_202_lps():
     return lps
 
 
+def test_column_state_at_termination():
+    # the pricing sign is each column's state: a basic column has sign
+    # 0, a nonbasic one sits at the bound its sign names, and a column
+    # has a nonzero sign unless it is basic or its bounds fix it
+    statuses = set()
+    for lp in _all_202_lps():
+        sx = _Simplex(lp)
+        statuses.add(sx.solve().status)
+        basic = np.zeros(sx.n_total, dtype=bool)
+        basic[sx.basis] = True
+        assert np.all(sx.sign[basic] == 0.0)
+        assert np.all(np.isin(sx.sign, (-1.0, 0.0, 1.0)))
+        assert np.array_equal(sx.x[sx.sign > 0], sx.lo[sx.sign > 0])
+        assert np.array_equal(sx.x[sx.sign < 0], sx.hi[sx.sign < 0])
+        priced = sx.sign != 0.0
+        assert np.all(sx.hi[priced] > sx.lo[priced])
+        idle = ~basic & ~priced
+        assert np.array_equal(sx.lo[idle], sx.hi[idle])
+        assert np.array_equal(sx.x[idle], sx.lo[idle])
+    assert statuses == {"optimal", "infeasible"}
+
+
 def test_start_basis_is_the_identity():
     # the start rows are signed so that the starting basis is I, which
     # makes T = A at the start and T[:, start_basis] Binv after
@@ -537,8 +588,8 @@ def test_iteration_limit_reported(monkeypatch):
 
 
 def test_infinite_bounds_rejected():
-    with pytest.raises(ValueError):
-        lp_solve(make_lp([1.0], np.zeros((0, 1)), [], [], [0.0], [np.inf]))
+    with pytest.raises(ValueError, match="^hi holds a non-finite"):
+        make_lp([1.0], np.zeros((0, 1)), [], [], [0.0], [np.inf])
 
 
 def test_solving_loads_no_scipy():

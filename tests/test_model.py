@@ -40,6 +40,22 @@ def test_log_on_sign_changing_variable_flagged():
     assert any("log domain" in p for p in report.problems)
 
 
+def test_non_finite_expression_numbers_flagged():
+    m, x = minimal_model()
+    m.objective.constant = math.nan
+    m.objective.linear.append((math.inf, x))
+    m.objective.terms.append(("bil", math.nan, x, x))
+    m.add_global(Constraint(Expression().add_log(-math.inf, x), "<=", 0.0,
+                            "cap"))
+    m.variables[x].lower = 1.0
+    assert m.validate().problems == [
+        "non-finite constant in objective",
+        "non-finite coefficient on a lin term in objective",
+        "non-finite coefficient on a bil term in objective",
+        "non-finite coefficient on a log term in global cap",
+    ]
+
+
 def test_unknown_boolean_in_clause_flagged():
     m, x = minimal_model()
     d1 = Disjunct("Y1", [Constraint(Expression().add_linear(1.0, x), "<=", 0.5)])
@@ -320,6 +336,8 @@ BAD_TABLES = {
     "repeated": ((0.0, 1.0, 1.0), (0.0, 1.0, 2.0)),
     "lengths": ((0.0, 1.0, 2.0), (0.0, 1.0)),
     "convex": ((0.0, 1.0, 2.0), (0.0, 1.0, 3.0)),
+    "nan value": ((0.0, 1.0), (0.0, math.nan)),
+    "infinite breakpoint": ((0.0, math.inf), (0.0, 1.0)),
 }
 
 

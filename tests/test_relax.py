@@ -702,7 +702,7 @@ def assert_same_lp(lp, ref):
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert np.array_equal(got, want), name
         assert np.array_equal(np.signbit(got), np.signbit(want)), name
-    assert lp.senses == ref.senses
+    assert np.array_equal(lp.senses, ref.senses)
     assert lp.obj_const == ref.obj_const
 
 
@@ -845,6 +845,28 @@ def test_compiled_relaxation_matches_reference_on_shipped_boxes(policy):
                        _reference_relaxation(flat, lo, hi))
     assert_same_columns(flat, compiled)
     assert len(boxes) == 81
+
+
+def test_node_lp_senses_agree_with_the_compiled_masks():
+    # the model rows' senses come from compile_flat's masks; the
+    # envelope rows are >= or <= (their order is pinned against the
+    # row-by-row reference above)
+    rng = np.random.default_rng(67)
+    cases = [_shipped_network_boxes(policy)
+             for policy in (ApproxPolicy("quad"),
+                            ApproxPolicy("pwl", n_segments=21), None)]
+    cases += [(flat, [_random_box(rng, flat)])
+              for flat in (_random_term_flat(rng) for _ in range(30))]
+    for flat, boxes in cases:
+        cm = compile_flat(flat)
+        n_con = len(flat.constraints)
+        for lo, hi in boxes[:3]:
+            lp = build_lp_relaxation(flat, lo, hi, cm)
+            assert np.array_equal(lp.ge[:n_con], cm.ge)
+            assert np.array_equal(lp.eq[:n_con], cm.eq)
+            assert np.array_equal(lp.senses[:n_con],
+                                  [c.sense for c in flat.constraints])
+            assert not lp.eq[n_con:].any()
 
 
 # -- bound propagation ---------------------------------------------------
